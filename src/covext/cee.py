@@ -33,6 +33,13 @@ from .errors import DataError, InvalidBranchError, SolverError
 from .polyalg import SchurPolynomial, is_schur, reflection_to_tail
 
 
+# fixed-point steps before the divergence guard may fire
+_GRACE = 10
+# Newton iteration caps: the final solve, and each continuation substep
+_NEWTON_MAX_ITER = 100
+_RAMP_NEWTON_MAX_ITER = 25
+
+
 def companion(vec) -> np.ndarray:
     """Companion matrix J - v h' of z^n + v_1 z^{n-1} + ... + v_n: first
     column -v, ones on the superdiagonal."""
@@ -121,16 +128,15 @@ class SolveOptions:
     to the Newton stage (warm-started from the last iterate where possible)
     when the sweep diverges or fails to reach ``tol`` within ``max_iter``
     steps.  ``divergence_guard`` aborts the fixed-point sweep once
-    h'Ph >= 1 after a grace period; appropriate when the data is known to
-    be a positive covariance sequence.
+    h'Ph >= 1 after the first ``_GRACE`` steps; appropriate when the data
+    is known to be a positive covariance sequence.  ``rank_tol`` is the
+    relative singular-value cutoff for the reported rank of P.
     """
 
     tol: float = 1e-12
     max_iter: int = 100_000
     method: str = "auto"
-    newton_max_iter: int = 100
     divergence_guard: bool = True
-    grace: int = 10
     rank_tol: float = 1e-8
 
     def __post_init__(self):
@@ -240,22 +246,24 @@ def _try_step(prob, P, R, rnorm, step, tol):
     return None
 
 
-def _newton(prob: CEEProblem, P0: np.ndarray, opts: SolveOptions) -> tuple[np.ndarray, int]:
+def _newton(
+    prob: CEEProblem, P0: np.ndarray, tol: float, max_iter: int
+) -> tuple[np.ndarray, int]:
     """Damped Newton on the residual map, with a Levenberg-Marquardt
     regularized step whenever the pure Newton direction fails to descend
     (ill-conditioned Jacobian far from the solution)."""
     P = 0.5 * (P0 + P0.T)
     R = _residual_matrix(prob, P)
     rnorm = np.linalg.norm(R, "fro")
-    for it in range(1, opts.newton_max_iter + 1):
-        if rnorm <= opts.tol:
+    for it in range(1, max_iter + 1):
+        if rnorm <= tol:
             return P, it - 1
         J = _newton_jacobian(prob, P)
         r = R.ravel(order="F")
         moved = None
         try:
             step = np.linalg.solve(J, r).reshape(prob.n, prob.n, order="F")
-            moved = _try_step(prob, P, R, rnorm, step, opts.tol)
+            moved = _try_step(prob, P, R, rnorm, step, tol)
         except np.linalg.LinAlgError:
             pass
         if moved is None:
@@ -267,7 +275,7 @@ def _newton(prob: CEEProblem, P0: np.ndarray, opts: SolveOptions) -> tuple[np.nd
                     step = np.linalg.solve(
                         JtJ + lam * np.eye(JtJ.shape[0]), Jtr
                     ).reshape(prob.n, prob.n, order="F")
-                    moved = _try_step(prob, P, R, rnorm, step, opts.tol)
+                    moved = _try_step(prob, P, R, rnorm, step, tol)
                 except np.linalg.LinAlgError:
                     pass
                 lam *= 10.0
@@ -276,10 +284,10 @@ def _newton(prob: CEEProblem, P0: np.ndarray, opts: SolveOptions) -> tuple[np.nd
                 f"Newton stalled at a nonzero residual {rnorm:.3e}"
             )
         P, R, rnorm = moved
-    if rnorm <= opts.tol:
-        return P, opts.newton_max_iter
+    if rnorm <= tol:
+        return P, max_iter
     raise SolverError(
-        f"Newton did not converge in {opts.newton_max_iter} iterations "
+        f"Newton did not converge in {max_iter} iterations "
         f"(last residual {rnorm:.3e})"
     )
 
@@ -324,13 +332,11 @@ def _ramp_family(prob: CEEProblem):
         c_tail = _sequence_from_u(prob.u)
 
         def family(t: float) -> CEEProblem:
-            u_t = np.zeros(prob.n)
-            ct = t * c_tail
-            for k in range(prob.n):
-                u_t[k] = ct[k] - np.dot(ct[:k][::-1], u_t[:k])
+            p = build_cov_params(
+                CovarianceSequence(np.concatenate([[1.0], t * c_tail]))
+            )
             return CEEProblem(
-                sigma=prob.sigma, u=u_t, U=_strict_lower_toeplitz(u_t),
-                source=prob.source,
+                sigma=prob.sigma, u=p.u, U=p.U, source=prob.source
             )
 
     else:
@@ -359,10 +365,7 @@ def _newton_ramped(prob: CEEProblem, opts: SolveOptions) -> tuple[np.ndarray, in
     # intermediate problems only seed the next warm start; they do not need
     # the final tolerance, and grinding on a hard substep is worse than
     # failing fast and halving the ramp step
-    sub_opts = replace(
-        opts, tol=max(opts.tol, 1e-9),
-        newton_max_iter=min(opts.newton_max_iter, 25),
-    )
+    sub_tol = max(opts.tol, 1e-9)
     P = np.zeros((prob.n, prob.n))
     P_prev = None
     t = 0.0
@@ -377,7 +380,9 @@ def _newton_ramped(prob: CEEProblem, opts: SolveOptions) -> tuple[np.ndarray, in
         else:
             start = P
         try:
-            P_next, nits = _newton(family(t_next), start, sub_opts)
+            P_next, nits = _newton(
+                family(t_next), start, sub_tol, _RAMP_NEWTON_MAX_ITER
+            )
             if not _on_valid_branch(P_next):
                 raise SolverError("left the PSD h'Ph < 1 branch along the ramp")
         except SolverError:
@@ -391,7 +396,7 @@ def _newton_ramped(prob: CEEProblem, opts: SolveOptions) -> tuple[np.ndarray, in
         P_prev, t_prev = P, t
         P, t = P_next, t_next
         step = min(2.0 * step, 0.5)
-    P, nits = _newton(prob, P, opts)
+    P, nits = _newton(prob, P, opts.tol, _NEWTON_MAX_ITER)
     total += nits
     if not _on_valid_branch(P):
         raise SolverError("continuation ended off the PSD h'Ph < 1 branch")
@@ -413,7 +418,7 @@ def _fixed_point(
             P = Pn
             if delta <= opts.tol:
                 return P, it, "converged"
-            if opts.divergence_guard and it > opts.grace and P[0, 0] >= 1.0:
+            if opts.divergence_guard and it > _GRACE and P[0, 0] >= 1.0:
                 return P, it, "diverged"
     return P, opts.max_iter, "exhausted"
 
@@ -424,7 +429,7 @@ def _newton_chain(
     """Damped Newton from P0, falling back to the ramped continuation when
     it stalls or converges off the PSD h'Ph < 1 branch."""
     try:
-        P, its = _newton(prob, P0, opts)
+        P, its = _newton(prob, P0, opts.tol, _NEWTON_MAX_ITER)
         if _on_valid_branch(P):
             return P, its
     except SolverError:

@@ -24,8 +24,8 @@ class SolverError(CovextError, RuntimeError):
 
 
 class InvalidBranchError(SolverError):
-    """A Riccati iteration converged to a solution with h'Ph >= 1, which is
-    outside the branch that yields a spectral factor."""
+    """A Riccati solution lies outside the branch that yields a spectral
+    factor (h'Ph >= 1, or not positive semidefinite)."""
 
 
 class VerificationError(CovextError, RuntimeError):

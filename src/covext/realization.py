@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from .cee import CEEProblem, SolveOptions, _newton_ramped, companion
+from .cee import CEEProblem, SolveOptions, companion, solve_cee
 from .errors import DataError, InvalidBranchError, SolverError, VerificationError
 
 
@@ -111,113 +112,71 @@ def _are_residual(F, g, P):
     return P - F @ P @ F.T - np.outer(q, q) / s
 
 
-def _gain_refine(F, g, P, tol, max_steps=40):
-    """Gain iteration: alternate the filter gain K = (g - FPh)/(1 - h'Ph)
-    with the exact closed-loop Stein solve
-
-        P = (F - Kh') P (F - Kh')' + gK' + Kg' - KK'.
-
-    Quadratically convergent from a nearby start and much better
-    conditioned than residual-based polishing near the h'Ph -> 1 boundary
-    (no explicit division by 1 - h'Ph in the linear solve)."""
-    n = g.size
-    eye2 = np.eye(n * n)
-    prev_delta = np.inf
-    for _ in range(max_steps):
-        s = 1.0 - float(P[0, 0])
-        if s <= 0.0:
-            raise SolverError("gain refinement left the h'Ph < 1 region")
-        K = (g - F @ P[:, 0]) / s
-        A = F.copy()
-        A[:, 0] -= K
-        rhs = np.outer(g, K) + np.outer(K, g) - np.outer(K, K)
-        try:
-            Pn = np.linalg.solve(
-                eye2 - np.kron(A, A), rhs.ravel(order="F")
-            ).reshape(n, n, order="F")
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("closed-loop Stein equation singular") from exc
-        Pn = 0.5 * (Pn + Pn.T)
-        delta = np.linalg.norm(Pn - P, "fro")
-        P = Pn
-        if delta <= tol:
-            return P
-        if delta < 1e-9 and delta > 0.25 * prev_delta:
-            return P  # roundoff floor reached
-        prev_delta = delta
-    raise SolverError("gain refinement did not converge")
-
-
-def solve_are_minimal(
-    a, g, tol: float = 1e-12, max_iter: int = 200_000
-) -> np.ndarray:
+def solve_are_minimal(a, g) -> np.ndarray:
     """Minimal solution of the classical discrete ARE
     P = F P F' + (g - F P h)(1 - h'Ph)^{-1}(g - F P h)'.
 
-    Fixed-point iteration from P = 0; the iterates increase monotonically
-    in the positive semidefinite order, so the limit is the minimal
-    solution.  Requires a(z) Schur for convergence.  The (1 - h'Ph)^{-1}
-    factor amplifies per-step roundoff near the branch boundary and can
-    floor the plain iteration above tol; a closed-loop gain refinement
-    finishes the job in that case.
+    The minimal solution is the stabilizing one (its closed loop is the
+    companion matrix of the minimum-phase numerator), which is what the QZ
+    method of Arnold & Laub (Proc. IEEE 72, 1984) computes:
+    ``scipy.linalg.solve_discrete_are`` with A = F', B = h, Q = 0, R = -1,
+    S = -g.  One exact closed-loop Stein solve with the filter gain
+    K = (g - FPh)/(1 - h'Ph),
+
+        P = (F - Kh') P (F - Kh')' + gK' + Kg' - KK',
+
+    then removes the QZ roundoff, which the (1 - h'Ph)^{-1} factor
+    amplifies near the branch boundary.  QZ returns a stabilizing solution
+    even where no state covariance exists (e.g. a(z) not Schur), so the
+    result is accepted only if it is positive semidefinite with h'Ph < 1
+    and solves the equation; otherwise :class:`InvalidBranchError`.
     """
     a = np.asarray(a, dtype=float).ravel()
     g = np.asarray(g, dtype=float).ravel()
+    n = a.size
     F = companion(a)
-    P = np.zeros((a.size, a.size))
-    coarse = max(tol, 1e-8)
-    for _ in range(max_iter):
-        Pn = riccati_step(F, g, P)
-        delta = np.linalg.norm(Pn - P, "fro")
-        P = Pn
-        if delta <= coarse:
-            break
-    else:
-        raise SolverError(
-            f"ARE fixed point did not reach {coarse:g} in {max_iter} iterations"
+    try:
+        P = scipy.linalg.solve_discrete_are(
+            F.T, np.eye(n, 1), np.zeros((n, n)), -np.eye(1), s=-g.reshape(n, 1)
         )
-    if coarse <= tol and np.linalg.norm(_are_residual(F, g, P), "fro") <= tol:
-        return P
-    return _gain_refine(F, g, P, tol)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"QZ found no stabilizing ARE solution: {exc}") from exc
+    s = 1.0 - float(P[0, 0])
+    if not s > 0.0:
+        raise InvalidBranchError(f"h'Ph = {P[0, 0]} >= 1 at the ARE solution")
+    K = (g - F @ P[:, 0]) / s
+    A = F.copy()
+    A[:, 0] -= K
+    try:
+        P = scipy.linalg.solve_discrete_lyapunov(
+            A, np.outer(g, K) + np.outer(K, g) - np.outer(K, K)
+        )
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("closed-loop Stein equation singular") from exc
+    P = 0.5 * (P + P.T)
+    scale = max(1.0, float(np.max(np.abs(P))))
+    if not (np.all(np.isfinite(P)) and P[0, 0] < 1.0):
+        raise InvalidBranchError(f"h'Ph = {P[0, 0]} >= 1 at the ARE solution")
+    if float(np.linalg.eigvalsh(P)[0]) < -1e-9 * scale:
+        raise InvalidBranchError("ARE solution is not positive semidefinite")
+    residual = float(np.linalg.norm(_are_residual(F, g, P), "fro"))
+    if residual > 1e-8 * scale:
+        raise InvalidBranchError(
+            f"ARE solution fails the equation (residual {residual:.3e})"
+        )
+    return P
 
 
-def gamma_riccati_step(Gamma: np.ndarray, g: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """One update of the companion-form equation with frozen g:
-    P -> Gamma (P - P h h' P) Gamma' + g g'."""
-    Ph = P[:, 0]
-    Pn = Gamma @ (P - np.outer(Ph, Ph)) @ Gamma.T + np.outer(g, g)
-    return 0.5 * (Pn + Pn.T)
-
-
-def solve_riccati_gamma(
-    sigma, g, tol: float = 1e-12, max_iter: int = 30_000
-) -> np.ndarray:
+def solve_riccati_gamma(sigma, g, tol: float = 1e-12) -> np.ndarray:
     """Minimal solution of P = Gamma (P - P h h' P) Gamma' + g g' with Gamma
     the companion matrix of sigma and g held fixed.
 
-    Tries the plain fixed point from 0 first; when it diverges or stalls
-    (the equation shares the repelling-solution failure mode of the full
-    parameter-dependent version), continues with the warm-started Newton
-    ramp from 0, which tracks the minimal branch.  The frozen-g equation is
-    the parameter-dependent one with u = g and U = 0, so the same machinery
-    applies unchanged.
+    This is the covariance extension equation with u = g and U = 0, so it is
+    solved by :func:`solve_cee` unchanged.
     """
     sigma = np.asarray(sigma, dtype=float).ravel()
-    g = np.asarray(g, dtype=float).ravel()
-    Gamma = companion(sigma)
-    P = np.zeros((sigma.size, sigma.size))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_iter):
-            Pn = gamma_riccati_step(Gamma, g, P)
-            if not np.all(np.isfinite(Pn)):
-                break
-            delta = np.linalg.norm(Pn - P, "fro")
-            P = Pn
-            if delta <= tol:
-                return P
     prob = CEEProblem(sigma=sigma, u=g, U=np.zeros((sigma.size, sigma.size)))
-    P, _ = _newton_ramped(prob, SolveOptions(tol=tol))
-    return P
+    return solve_cee(prob, SolveOptions(tol=tol)).P
 
 
 def k_and_rho(P: np.ndarray, sigma, a, g) -> tuple[np.ndarray, float, float]:
@@ -259,8 +218,9 @@ def compare_riccati_forms(
     a, g, sigma, tol: float = 1e-12, agree_tol: float = 1e-8
 ) -> RiccatiComparison:
     """Solve the classical ARE and the companion-form equation (frozen g)
-    independently and compare their minimal solutions."""
-    P27 = solve_are_minimal(a, g, tol=tol)
+    independently and compare their minimal solutions.  ``tol`` is the
+    tolerance of the companion-form solve."""
+    P27 = solve_are_minimal(a, g)
     P29 = solve_riccati_gamma(sigma, g, tol=tol)
     diff = float(np.linalg.norm(P27 - P29, "fro"))
     return RiccatiComparison(

@@ -98,10 +98,13 @@ class TestClassicalRiccati:
             a, _, _, b = forward_instance(rng, n)
             g = g_from_ab(a.coeffs, b.coeffs)
             F = companion(a.coeffs)
+            P_min = solve_are_minimal(a.coeffs, g)
             P = np.zeros((n, n))
             for _ in range(100):
                 Pn = riccati_step(F, g, P)
                 assert np.linalg.eigvalsh(Pn - P)[0] >= -1e-10
+                # the iterates increase towards the minimal solution from below
+                assert np.linalg.eigvalsh(P_min - Pn)[0] >= -1e-10
                 P = Pn
 
     def test_hPh_below_one_and_psd(self):
@@ -112,6 +115,18 @@ class TestClassicalRiccati:
             P = solve_are_minimal(a.coeffs, g_from_ab(a.coeffs, b.coeffs))
             assert P[0, 0] < 1.0
             assert np.linalg.eigvalsh(P)[0] >= -1e-10
+
+    @pytest.mark.parametrize(
+        "a, g",
+        [
+            ([-1.5], [0.5]),  # a(z) not Schur; QZ gives P < 0
+            ([0.3, -2.0], [0.1, 0.2]),  # stabilizing solution negative definite
+            ([-0.5], [0.9]),  # polished QZ answer has ARE residual 0.69
+        ],
+    )
+    def test_no_state_covariance_rejected(self, a, g):
+        with pytest.raises(InvalidBranchError):
+            solve_are_minimal(a, g)
 
 
 class TestKAndRho:
@@ -142,7 +157,7 @@ class TestKAndRho:
             n = int(rng.integers(1, 8))
             a, sigma, rho, b = forward_instance(rng, n)
             g = g_from_ab(a.coeffs, b.coeffs)
-            P = solve_are_minimal(a.coeffs, g, tol=1e-14)
+            P = solve_are_minimal(a.coeffs, g)
             k, rho_hat, agreement = k_and_rho(P, sigma.coeffs, a.coeffs, g)
             assert agreement <= 1e-10
             assert abs(rho_hat - rho) <= 1e-9
@@ -183,7 +198,7 @@ class TestRiccatiEquivalence:
             c_tail = laurent_coeffs(RationalPR(a, b), n)
             c = CovarianceSequence(np.concatenate([[1.0], c_tail]))
             sol = solve_cee(problem_from_covariances(c, sigma))
-            P27 = solve_are_minimal(a.coeffs, g, tol=1e-14)
+            P27 = solve_are_minimal(a.coeffs, g)
             assert np.max(np.abs(sol.P - P27)) <= 1e-7
 
 
