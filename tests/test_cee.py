@@ -100,6 +100,64 @@ class TestResidual:
         assert cee_residual(prob, np.array([[0.0]])) == pytest.approx(0.25)
 
 
+def kron_jacobian(prob, P):
+    """Reference Newton Jacobian: the five-term formula as dense Kronecker
+    products, I - G(x)G + (G P h h')(x)G + G(x)(G P h h') - (g h')(x)UG
+    - UG(x)(g h')."""
+    n = prob.n
+    G = prob.Gamma
+    UG = prob.U @ G
+    g = g_of_P(prob, P)
+    GPhh = np.zeros((n, n))
+    GPhh[:, 0] = G @ P[:, 0]
+    ghT = np.zeros((n, n))
+    ghT[:, 0] = g
+    return (
+        np.eye(n * n)
+        - np.kron(G, G)
+        + np.kron(GPhh, G)
+        + np.kron(G, GPhh)
+        - np.kron(ghT, UG)
+        - np.kron(UG, ghT)
+    )
+
+
+def random_newton_point(rng, n):
+    """A Schur sigma with dense, non-Toeplitz (u, U) and a symmetric P."""
+    sigma = reflection_to_tail(rng.uniform(-0.95, 0.95, n))
+    prob = CEEProblem(sigma=sigma, u=rng.standard_normal(n),
+                      U=rng.standard_normal((n, n)), source="interpolation")
+    A = rng.standard_normal((n, n))
+    return prob, 0.5 * (A + A.T)
+
+
+class TestNewtonJacobian:
+    def test_bit_identical_to_kron_formula(self):
+        rng = np.random.default_rng(8)
+        for n in range(1, 13):
+            for _ in range(20):
+                prob, P = random_newton_point(rng, n)
+                J = cee._newton_jacobian(prob, P, cee._stein_matrix(prob.Gamma))
+                assert np.array_equal(J, kron_jacobian(prob, P))
+
+    def test_directional_derivative_of_residual(self):
+        # J vec(dP) is the derivative of the residual along symmetric dP;
+        # the residual is quadratic in P, so the forward difference misses
+        # it by O(eps)
+        rng = np.random.default_rng(9)
+        eps = 1e-7
+        for n in range(1, 9):
+            for _ in range(5):
+                prob, P = random_newton_point(rng, n)
+                B = rng.standard_normal((n, n))
+                dP = 0.5 * (B + B.T)
+                J = cee._newton_jacobian(prob, P, cee._stein_matrix(prob.Gamma))
+                jd = J @ dP.ravel(order="F")
+                fd = (cee._residual_matrix(prob, P + eps * dP)
+                      - cee._residual_matrix(prob, P)).ravel(order="F") / eps
+                assert np.max(np.abs(jd - fd)) <= 1e-5 * max(1.0, np.max(np.abs(jd)))
+
+
 class TestSolve:
     def test_scalar_sigma_zero(self):
         sol = solve_cee(scalar_problem(0.5, 0.0))
@@ -277,6 +335,9 @@ class TestUniversality:
             cee.solve_cee,
             cee._fixed_point,
             cee._newton,
+            cee._stein_matrix,
+            cee._newton_jacobian,
+            cee._residual_matrix,
             cee.fixed_point_step,
             cee.g_of_P,
             cee.cee_residual,
