@@ -124,13 +124,15 @@ class CEESolution:
 class SolveOptions:
     """Solver controls.
 
-    method "auto" runs the fixed-point iteration from P = 0 and falls back
-    to the Newton stage (warm-started from the last iterate where possible)
-    when the sweep diverges or fails to reach ``tol`` within ``max_iter``
-    steps.  ``divergence_guard`` aborts the fixed-point sweep once
-    h'Ph >= 1 after the first ``_GRACE`` steps; appropriate when the data
-    is known to be a positive covariance sequence.  ``rank_tol`` is the
-    relative singular-value cutoff for the reported rank of P.
+    method "auto" (the default) and "newton" name the same path: damped
+    Newton from P = 0, with the continuation ramp when it stalls or lands
+    off the PSD h'Ph < 1 branch.  "fixed-point" runs the paper's plain
+    iteration from P = 0 alone, with a budget of ``max_iter`` steps;
+    ``divergence_guard`` aborts that sweep once h'Ph >= 1 after the first
+    ``_GRACE`` steps, appropriate when the data is known to be a positive
+    covariance sequence.  ``max_iter`` and ``divergence_guard`` have no
+    effect on the Newton path.  ``rank_tol`` is the relative singular-value
+    cutoff for the reported rank of P.
     """
 
     tol: float = 1e-12
@@ -262,9 +264,9 @@ def _try_step(prob, P, R, rnorm, step, tol):
 def _newton(
     prob: CEEProblem, P0: np.ndarray, tol: float, max_iter: int
 ) -> tuple[np.ndarray, int]:
-    """Damped Newton on the residual map, with a Levenberg-Marquardt
-    regularized step whenever the pure Newton direction fails to descend
-    (ill-conditioned Jacobian far from the solution)."""
+    """Damped Newton on the residual map.  Raises :class:`SolverError` as
+    soon as J is singular or the Newton direction fails the backtracking
+    line search; the continuation ramp recovers by halving its t-step."""
     P = 0.5 * (P0 + P0.T)
     R = _residual_matrix(prob, P)
     rnorm = np.linalg.norm(R, "fro")
@@ -273,26 +275,13 @@ def _newton(
         if rnorm <= tol:
             return P, it - 1
         J = _newton_jacobian(prob, P, stein)
-        r = R.ravel(order="F")
-        moved = None
         try:
-            step = np.linalg.solve(J, r).reshape(prob.n, prob.n, order="F")
-            moved = _try_step(prob, P, R, rnorm, step, tol)
+            step = np.linalg.solve(J, R.ravel(order="F"))
         except np.linalg.LinAlgError:
-            pass
-        if moved is None:
-            JtJ = J.T @ J
-            Jtr = J.T @ r
-            lam = 1e-8 * float(np.trace(JtJ)) / JtJ.shape[0]
-            while moved is None and lam < 1e8:
-                try:
-                    step = np.linalg.solve(
-                        JtJ + lam * np.eye(JtJ.shape[0]), Jtr
-                    ).reshape(prob.n, prob.n, order="F")
-                    moved = _try_step(prob, P, R, rnorm, step, tol)
-                except np.linalg.LinAlgError:
-                    pass
-                lam *= 10.0
+            moved = None
+        else:
+            step = step.reshape(prob.n, prob.n, order="F")
+            moved = _try_step(prob, P, R, rnorm, step, tol)
         if moved is None:
             raise SolverError(
                 f"Newton stalled at a nonzero residual {rnorm:.3e}"
@@ -437,13 +426,13 @@ def _fixed_point(
     return P, opts.max_iter, "exhausted"
 
 
-def _newton_chain(
-    prob: CEEProblem, P0: np.ndarray, opts: SolveOptions
-) -> tuple[np.ndarray, int]:
-    """Damped Newton from P0, falling back to the ramped continuation when
-    it stalls or converges off the PSD h'Ph < 1 branch."""
+def _newton_chain(prob: CEEProblem, opts: SolveOptions) -> tuple[np.ndarray, int]:
+    """Damped Newton from P = 0, falling back to the ramped continuation
+    when it stalls or converges off the PSD h'Ph < 1 branch."""
     try:
-        P, its = _newton(prob, P0, opts.tol, _NEWTON_MAX_ITER)
+        P, its = _newton(
+            prob, np.zeros((prob.n, prob.n)), opts.tol, _NEWTON_MAX_ITER
+        )
         if _on_valid_branch(P):
             return P, its
     except SolverError:
@@ -460,38 +449,33 @@ def solve_cee(prob: CEEProblem, options: Optional[SolveOptions] = None) -> CEESo
     residual) and :class:`InvalidBranchError` if the converged P has
     h'Ph >= 1.
 
-    The plain fixed-point iteration has no global convergence guarantee:
-    the solution can be a repelling fixed point of the iteration map, in
-    which case the sweep trips the divergence guard or exhausts its budget
-    and (under method "auto") the Newton stage takes over.
+    Methods "auto" and "newton" run damped Newton from P = 0 with the
+    continuation ramp as its globalization.  Method "fixed-point" runs the
+    plain iteration from P = 0 alone; it has no global convergence
+    guarantee: the solution can be a repelling fixed point of the
+    iteration map, in which case the sweep trips the divergence guard or
+    exhausts its budget and the solve fails.
     """
     opts = options or SolveOptions()
-    if opts.method == "newton":
-        P, its = _newton_chain(prob, np.zeros((prob.n, prob.n)), opts)
-        method = "newton"
-    else:
+    if opts.method == "fixed-point":
         P, its, status = _fixed_point(prob, opts)
-        method = "fixed-point"
-        if status != "converged":
-            if opts.method == "fixed-point":
-                if status == "diverged":
-                    raise SolverError(
-                        f"fixed-point iteration left the h'Ph < 1 region "
-                        f"after {its} steps; the solution is not attracting "
-                        "for the plain iteration (or the data is not a "
-                        "positive covariance sequence)"
-                    )
-                raise SolverError(
-                    f"fixed-point iteration did not reach tol = {opts.tol:g} in "
-                    f"{opts.max_iter} iterations "
-                    f"(last residual {cee_residual(prob, P):.3e})"
-                )
-            warm = P if (status == "exhausted" and P[0, 0] < 1.0) else np.zeros(
-                (prob.n, prob.n)
+        if status == "diverged":
+            raise SolverError(
+                f"fixed-point iteration left the h'Ph < 1 region "
+                f"after {its} steps; the solution is not attracting "
+                "for the plain iteration (or the data is not a "
+                "positive covariance sequence)"
             )
-            P, nits = _newton_chain(prob, warm, opts)
-            its += nits
-            method = "fixed-point+newton"
+        if status == "exhausted":
+            raise SolverError(
+                f"fixed-point iteration did not reach tol = {opts.tol:g} in "
+                f"{opts.max_iter} iterations "
+                f"(last residual {cee_residual(prob, P):.3e})"
+            )
+        method = "fixed-point"
+    else:
+        P, its = _newton_chain(prob, opts)
+        method = "newton"
     a, rho = extract_filter(prob, P)
     g = g_of_P(prob, P)
     b = a + 2.0 * g

@@ -62,10 +62,11 @@ def _solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-12,
                    help="solver residual tolerance (default 1e-12)")
     p.add_argument("--max-iter", type=int, default=100_000,
-                   help="fixed-point iteration budget (default 100000)")
+                   help="fixed-point iteration budget, used by --method "
+                   "fixed-point (default 100000)")
     p.add_argument("--method", choices=["auto", "fixed-point", "newton"],
                    default="auto", help="solution method (default auto: "
-                   "fixed point with Newton fallback)")
+                   "damped Newton with continuation)")
     p.add_argument("--rank-tol", type=float, default=1e-8,
                    help="relative rank threshold for P (default 1e-8)")
 

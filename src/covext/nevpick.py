@@ -243,7 +243,9 @@ def solve_np(
     prob = CEEProblem(
         sigma=sigma.coeffs, u=params.u, U=params.U, source="interpolation"
     )
-    # h'Ph >= 1 mid-iteration is not a divergence certificate here; only the
+    # under method "fixed-point", h'Ph >= 1 mid-iteration is not a divergence
+    # certificate here: the guarded sweep gives up on interpolation problems
+    # that the unguarded sweep solves to accepted answers.  Only the
     # converged solution is judged.
     sol = solve_cee(prob, replace(opts, divergence_guard=False))
     # component discarded by [0 I_n] when forming (u, U); zero iff the data

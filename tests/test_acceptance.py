@@ -25,7 +25,7 @@ from covext.covdata import (
     toeplitz_min_eig,
     unit_lower_toeplitz,
 )
-from covext.errors import VerificationError
+from covext.errors import SolverError, VerificationError
 from covext.nevpick import InterpolationData, build_T, build_uU_np, solve_np
 from covext.polyalg import (
     RationalPR,
@@ -60,8 +60,8 @@ def forward_instance(rng, n, radius):
 @pytest.fixture(scope="module")
 def roundtrip_corpus():
     """100 seeded instances per n in {2..8}, reflection coefficients in
-    (-0.95, 0.95); solved with the default pipeline (fixed point with
-    Newton fallback)."""
+    (-0.95, 0.95); solved with the default method (damped Newton with
+    continuation)."""
     rng = np.random.default_rng(SEED)
     opts = SolveOptions(max_iter=20_000)
     rows = []
@@ -147,9 +147,17 @@ def test_criterion_02_fixed_point_rate(roundtrip_corpus):
     # of that iteration for roughly half of these instances (verified via
     # the spectral radius of the linearized map), so the bound is not
     # attainable by any iteration budget; see the decisions ledger.
+    # the default method never runs the plain iteration, so it gets its own
+    # pass over the same problems, outside the corpus's timed section
     rows, _ = roundtrip_corpus
-    solved = [r for r in rows if r["sol"] is not None]
-    fp_only = sum(1 for r in solved if r["sol"].method == "fixed-point")
+    opts = SolveOptions(method="fixed-point", max_iter=20_000)
+    fp_only = 0
+    for r in rows:
+        try:
+            solve_cee(problem_from_covariances(r["c"], r["sigma"]), opts)
+        except SolverError:
+            continue
+        fp_only += 1
     rate = fp_only / len(rows)
     ok = rate >= 0.99
     _line(2, ok, f"fixed-point-only convergence rate {100*rate:.1f}% "

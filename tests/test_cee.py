@@ -254,11 +254,16 @@ class TestSolve:
                 sol.rho,
             ) <= 1e-10
 
-    def test_divergence_guard(self):
+    @pytest.mark.parametrize("options, match", [
+        (None, None),
+        (SolveOptions(method="fixed-point"), "left the h'Ph < 1 region"),
+    ], ids=["default", "fixed-point"])
+    def test_divergence_guard(self, options, match):
         # (1, 0.2, 0.5) is positive, but (1, 0.99, 0.999) is far from it
-        with pytest.raises(SolverError):
+        with pytest.raises(SolverError, match=match):
             c = CovarianceSequence([1.0, 0.99, 0.999, 0.9])
-            solve_cee(problem_from_covariances(c, SchurPolynomial([0.0] * 3)))
+            solve_cee(problem_from_covariances(c, SchurPolynomial([0.0] * 3)),
+                      options)
 
     def test_nonconvergence_reports_residual(self):
         prob = scalar_problem(0.5, 0.5)
@@ -335,6 +340,8 @@ class TestUniversality:
             cee.solve_cee,
             cee._fixed_point,
             cee._newton,
+            cee._newton_chain,
+            cee._try_step,
             cee._stein_matrix,
             cee._newton_jacobian,
             cee._residual_matrix,

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from covext.errors import DataError, StructuralError, VerificationError
+from covext.cee import CEEProblem, SolveOptions, solve_cee
+from covext.errors import (
+    DataError,
+    SolverError,
+    StructuralError,
+    VerificationError,
+)
 from covext.nevpick import (
     InterpolationData,
     build_T,
@@ -182,6 +188,24 @@ class TestSolveNP:
             assert np.max(np.abs(res.solution.a - a.coeffs)) <= 1e-6
             assert abs(res.solution.rho - rho) <= 1e-7
             assert res.interp_residual <= 1e-8
+
+    def test_fixed_point_runs_unguarded(self):
+        # h'Ph passes 1 mid-sweep on this data, so the guarded plain
+        # iteration gives up, while the unguarded sweep that solve_np runs
+        # converges to an accepted answer
+        z = -2.7491429386211674 + 1.0438707314103797j
+        c = 0.8267487294282498 + 0.16609217045974578j
+        d = InterpolationData(nodes=[z, np.conj(z)], values=[c, np.conj(c)])
+        sigma = SchurPolynomial([-0.7577517989198768])
+        params = build_uU_np(build_T(d))
+        prob = CEEProblem(sigma=sigma.coeffs, u=params.u, U=params.U,
+                          source="interpolation")
+        opts = SolveOptions(method="fixed-point")
+        with pytest.raises(SolverError, match="after 11 steps"):
+            solve_cee(prob, opts)
+        res = solve_np(d, sigma, options=opts)
+        assert res.solution.method == "fixed-point"
+        assert res.solution.a[0] == pytest.approx(0.69556, abs=1e-5)
 
     def test_sigma_degree_mismatch(self):
         d = InterpolationData(nodes=WORKED_NODES, values=WORKED_VALUES)
