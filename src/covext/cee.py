@@ -18,26 +18,23 @@ data or from interpolation data and the solver code path is identical.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .covdata import (
-    CovarianceSequence,
-    CovParams,
-    _strict_lower_toeplitz,
-    build_cov_params,
-)
+from .covdata import CovarianceSequence, CovParams, build_cov_params
 from .errors import DataError, InvalidBranchError, SolverError
 from .polyalg import SchurPolynomial, is_schur, reflection_to_tail
 
 
 # fixed-point steps before the divergence guard may fire
 _GRACE = 10
-# Newton iteration caps: the final solve, and each continuation substep
+# Newton iteration caps: the final polish, and each continuation substep
 _NEWTON_MAX_ITER = 100
 _RAMP_NEWTON_MAX_ITER = 25
+# margin from +-1 of the positive-degree grid's reflection coefficients
+_GRID_EPS = 0.05
 
 
 def companion(vec) -> np.ndarray:
@@ -56,14 +53,13 @@ def companion(vec) -> np.ndarray:
 class CEEProblem:
     """Assembled problem data (sigma, Gamma, h, u, U).
 
-    ``source`` records where (u, U) came from ("covariance" or
-    "interpolation"); the solver itself never consults it.
+    Nothing records where (u, U) came from: covariance and interpolation
+    parameters are the same kind of data to the solver.
     """
 
     sigma: np.ndarray
     u: np.ndarray
     U: np.ndarray
-    source: str = "covariance"
     Gamma: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -78,8 +74,6 @@ class CEEProblem:
                 f"dimension mismatch: len(sigma) = {n}, len(u) = {u.size}, "
                 f"U.shape = {U.shape}"
             )
-        if self.source not in ("covariance", "interpolation"):
-            raise DataError(f"unknown source tag {self.source!r}")
         if not is_schur(sigma):
             raise DataError("sigma must be a Schur polynomial")
         Gamma = companion(sigma)
@@ -124,15 +118,16 @@ class CEESolution:
 class SolveOptions:
     """Solver controls.
 
-    method "auto" (the default) and "newton" name the same path: damped
-    Newton from P = 0, with the continuation ramp when it stalls or lands
-    off the PSD h'Ph < 1 branch.  "fixed-point" runs the paper's plain
-    iteration from P = 0 alone, with a budget of ``max_iter`` steps;
-    ``divergence_guard`` aborts that sweep once h'Ph >= 1 after the first
-    ``_GRACE`` steps, appropriate when the data is known to be a positive
-    covariance sequence.  ``max_iter`` and ``divergence_guard`` have no
-    effect on the Newton path.  ``rank_tol`` is the relative singular-value
-    cutoff for the reported rank of P.
+    method "auto" (the default) and "newton" name the same path: one
+    continuation in the data parameters whose first trial step is plain
+    damped Newton from P = 0 on the problem itself; the step halves while a
+    trial stalls or lands off the PSD h'Ph < 1 branch.  "fixed-point" runs
+    the paper's plain iteration from P = 0 alone, with a budget of
+    ``max_iter`` steps; ``divergence_guard`` aborts that sweep once
+    h'Ph >= 1 after the first ``_GRACE`` steps, appropriate when the data
+    is known to be a positive covariance sequence.  ``max_iter`` and
+    ``divergence_guard`` have no effect on the Newton path.  ``rank_tol``
+    is the relative singular-value cutoff for the reported rank of P.
     """
 
     tol: float = 1e-12
@@ -155,7 +150,7 @@ def build_problem(params: CovParams, sigma: SchurPolynomial) -> CEEProblem:
             f"dimension mismatch: params have n = {params.n}, "
             f"sigma has degree {sigma.degree}"
         )
-    return CEEProblem(sigma=sigma.coeffs, u=params.u, U=params.U, source="covariance")
+    return CEEProblem(sigma=sigma.coeffs, u=params.u, U=params.U)
 
 
 def problem_from_covariances(c: CovarianceSequence, sigma: SchurPolynomial) -> CEEProblem:
@@ -262,15 +257,16 @@ def _try_step(prob, P, R, rnorm, step, tol):
 
 
 def _newton(
-    prob: CEEProblem, P0: np.ndarray, tol: float, max_iter: int
+    prob: CEEProblem, P0: np.ndarray, tol: float, max_iter: int,
+    stein: np.ndarray,
 ) -> tuple[np.ndarray, int]:
-    """Damped Newton on the residual map.  Raises :class:`SolverError` as
-    soon as J is singular or the Newton direction fails the backtracking
-    line search; the continuation ramp recovers by halving its t-step."""
+    """Damped Newton on the residual map, given stein = I - Gamma (x) Gamma
+    from :func:`_stein_matrix`.  Raises :class:`SolverError` as soon as J
+    is singular or the Newton direction fails the backtracking line search;
+    the continuation ramp recovers by halving its t-step."""
     P = 0.5 * (P0 + P0.T)
     R = _residual_matrix(prob, P)
     rnorm = np.linalg.norm(R, "fro")
-    stein = _stein_matrix(prob.Gamma)
     for it in range(1, max_iter + 1):
         if rnorm <= tol:
             return P, it - 1
@@ -309,62 +305,47 @@ def _on_valid_branch(P: np.ndarray) -> bool:
     return lam_min >= -1e-9 * scale
 
 
-def _sequence_from_u(u: np.ndarray) -> np.ndarray:
-    """Invert the expansion recursion: the sequence tail (c_1, ..., c_n)
-    whose expansion parameters are u."""
-    n = u.size
-    c = np.zeros(n)
-    for k in range(n):
-        c[k] = u[k] + np.dot(c[:k][::-1], u[:k])
-    return c
-
-
 def _ramp_family(prob: CEEProblem):
-    """Path t -> CEEProblem(t) with a trivially solvable start at t = 0.
+    """Path t -> CEEProblem(t) from (u, U) = 0 at t = 0, where P = 0 solves
+    the equation, to ``prob`` itself at t = 1:
 
-    When U is exactly the strictly lower-triangular Toeplitz matrix of u
-    (parameters that encode a covariance sequence), the path scales the
-    underlying sequence, c(t) = t c: its Toeplitz matrix is a convex
-    combination with the identity, so every intermediate problem is a
-    positive-sequence problem and the PSD branch exists along the whole
-    path.  Otherwise (general interpolation-type parameters) the path
-    scales (u, U) directly, which is heuristic but ends at the original
-    problem all the same.
+        [u(t) U(t)] = t (I - (1 - t) U)^{-1} [u U].
+
+    For covariance parameters, where I - U is the inverse of the unit
+    lower-triangular Toeplitz matrix of the sequence, this is the parameter
+    path of the scaled sequence c(t) = t c.  Its Toeplitz matrix
+    (1 - t) I + t T_c is positive definite all along, so the PSD branch
+    exists on the whole path.  The formula reads only (u, U) and is the
+    same for interpolation parameters.
     """
-    if np.array_equal(prob.U, _strict_lower_toeplitz(prob.u)):
-        c_tail = _sequence_from_u(prob.u)
+    n = prob.n
+    uU = np.column_stack([prob.u, prob.U])
 
-        def family(t: float) -> CEEProblem:
-            p = build_cov_params(
-                CovarianceSequence(np.concatenate([[1.0], t * c_tail]))
-            )
-            return CEEProblem(
-                sigma=prob.sigma, u=p.u, U=p.U, source=prob.source
-            )
-
-    else:
-
-        def family(t: float) -> CEEProblem:
-            return CEEProblem(
-                sigma=prob.sigma, u=t * prob.u, U=t * prob.U,
-                source=prob.source,
-            )
+    def family(t: float) -> CEEProblem:
+        if t == 1.0:
+            return prob
+        S = t * np.linalg.solve(np.eye(n) - (1.0 - t) * prob.U, uU)
+        return CEEProblem(sigma=prob.sigma, u=S[:, 0], U=S[:, 1:])
 
     return family
 
 
-def _newton_ramped(prob: CEEProblem, opts: SolveOptions) -> tuple[np.ndarray, int]:
-    """Globalized Newton: warm-started solves along a data ramp t: 0 -> 1.
+def _continuation(prob: CEEProblem, opts: SolveOptions) -> tuple[np.ndarray, int]:
+    """Globalized Newton: warm-started solves along the data ramp t: 0 -> 1
+    of :func:`_ramp_family`.
 
-    At t = 0 the parameters vanish and P = 0 is the exact solution; each
-    substep reuses the previous solution as the Newton start, with the step
-    in t halved whenever a substep fails or leaves the positive
-    semidefinite h'Ph < 1 branch.  The plain damped Newton iteration can
-    stall or land on a spurious non-PSD solution when started far away;
-    tracking the branch from t = 0 removes both failure modes.  A final
-    polish runs on the original problem itself.
+    At t = 0 the parameters vanish and P = 0 is the exact solution.  The
+    first trial step is the whole ramp, t = 1: plain damped Newton from
+    P = 0 on the problem itself.  Each substep reuses the previous solution
+    as the Newton start, with the step in t halved whenever a substep fails
+    or leaves the positive semidefinite h'Ph < 1 branch: started far away,
+    Newton can stall or land on one of the equation's other symmetric
+    solutions, and tracking the branch from t = 0 removes both failure
+    modes.  A final polish runs on the problem itself at ``opts.tol``.
     """
     family = _ramp_family(prob)
+    # Gamma depends on sigma alone, which the ramp leaves fixed
+    stein = _stein_matrix(prob.Gamma)
     # intermediate problems only seed the next warm start; they do not need
     # the final tolerance, and grinding on a hard substep is worse than
     # failing fast and halving the ramp step
@@ -374,7 +355,7 @@ def _newton_ramped(prob: CEEProblem, opts: SolveOptions) -> tuple[np.ndarray, in
     t = 0.0
     t_prev = 0.0
     total = 0
-    step = 0.5
+    step = 1.0
     while t < 1.0:
         t_next = min(1.0, t + step)
         if P_prev is not None and t > t_prev:
@@ -384,11 +365,12 @@ def _newton_ramped(prob: CEEProblem, opts: SolveOptions) -> tuple[np.ndarray, in
             start = P
         try:
             P_next, nits = _newton(
-                family(t_next), start, sub_tol, _RAMP_NEWTON_MAX_ITER
+                family(t_next), start, sub_tol, _RAMP_NEWTON_MAX_ITER, stein
             )
             if not _on_valid_branch(P_next):
                 raise SolverError("left the PSD h'Ph < 1 branch along the ramp")
-        except SolverError:
+        except (SolverError, np.linalg.LinAlgError):
+            # LinAlgError: I - (1 - t) U is singular at this t
             step *= 0.5
             if step < 1e-9:
                 raise SolverError(
@@ -399,7 +381,7 @@ def _newton_ramped(prob: CEEProblem, opts: SolveOptions) -> tuple[np.ndarray, in
         P_prev, t_prev = P, t
         P, t = P_next, t_next
         step = min(2.0 * step, 0.5)
-    P, nits = _newton(prob, P, opts.tol, _NEWTON_MAX_ITER)
+    P, nits = _newton(prob, P, opts.tol, _NEWTON_MAX_ITER, stein)
     total += nits
     if not _on_valid_branch(P):
         raise SolverError("continuation ended off the PSD h'Ph < 1 branch")
@@ -426,20 +408,6 @@ def _fixed_point(
     return P, opts.max_iter, "exhausted"
 
 
-def _newton_chain(prob: CEEProblem, opts: SolveOptions) -> tuple[np.ndarray, int]:
-    """Damped Newton from P = 0, falling back to the ramped continuation
-    when it stalls or converges off the PSD h'Ph < 1 branch."""
-    try:
-        P, its = _newton(
-            prob, np.zeros((prob.n, prob.n)), opts.tol, _NEWTON_MAX_ITER
-        )
-        if _on_valid_branch(P):
-            return P, its
-    except SolverError:
-        pass
-    return _newton_ramped(prob, opts)
-
-
 def solve_cee(prob: CEEProblem, options: Optional[SolveOptions] = None) -> CEESolution:
     """Solve the covariance extension equation for the h'Ph < 1 branch.
 
@@ -449,8 +417,11 @@ def solve_cee(prob: CEEProblem, options: Optional[SolveOptions] = None) -> CEESo
     residual) and :class:`InvalidBranchError` if the converged P has
     h'Ph >= 1.
 
-    Methods "auto" and "newton" run damped Newton from P = 0 with the
-    continuation ramp as its globalization.  Method "fixed-point" runs the
+    Methods "auto" and "newton" run :func:`_continuation`: damped Newton
+    from P = 0 on the problem itself first, then, if that stalls or lands
+    off the PSD branch, warm-started Newton solves along the data ramp of
+    :func:`_ramp_family`.  That path reads only (sigma, u, U), whatever
+    the data source.  Method "fixed-point" runs the
     plain iteration from P = 0 alone; it has no global convergence
     guarantee: the solution can be a repelling fixed point of the
     iteration map, in which case the sweep trips the divergence guard or
@@ -474,7 +445,7 @@ def solve_cee(prob: CEEProblem, options: Optional[SolveOptions] = None) -> CEESo
             )
         method = "fixed-point"
     else:
-        P, its = _newton_chain(prob, opts)
+        P, its = _continuation(prob, opts)
         method = "newton"
     a, rho = extract_filter(prob, P)
     g = g_of_P(prob, P)
@@ -524,16 +495,14 @@ def positive_degree(
     grid: Optional[int] = None,
     rank_tol: float = 1e-8,
     seed: int = 0,
-    eps: float = 0.05,
-    options: Optional[SolveOptions] = None,
 ) -> PositiveDegreeResult:
     """Upper-bound estimate of the positive degree: the minimum of rank P
     over a grid of Schur polynomials sigma.
 
     Schur polynomials are parameterized by reflection coefficients in
-    (-1 + eps, 1 - eps)^n; for n <= 3 the grid is uniform with ``grid``
-    points per axis (default 11), for larger n it is ``grid`` random draws
-    (default 2000, seeded).  The scan is exhaustive over the grid only, so
+    (-1 + eps, 1 - eps)^n with eps = ``_GRID_EPS``; for n <= 3 the grid is
+    uniform with ``grid`` points per axis (default 11), for larger n it is
+    ``grid`` random draws (default 2000, seeded).  The scan is exhaustive over the grid only, so
     the result is an upper bound of the true minimum; the first sigma
     attaining it in scan order is reported.  Solver failures at individual
     grid points are skipped, counted, and summarized in a warning.
@@ -546,17 +515,17 @@ def positive_degree(
     if grid < 1:
         raise DataError("grid must be nonempty")
     params = build_cov_params(c)
-    opts = options or SolveOptions()
+    opts = SolveOptions(rank_tol=rank_tol)
     best_rank: Optional[int] = None
     best_sigma: Optional[SchurPolynomial] = None
     failures = 0
     evaluated = 0
-    points = _sigma_grid(n, grid, eps, seed)
+    points = _sigma_grid(n, grid, _GRID_EPS, seed)
     for gammas in points:
         sigma = SchurPolynomial(reflection_to_tail(gammas))
         prob = build_problem(params, sigma)
         try:
-            sol = solve_cee(prob, replace(opts, rank_tol=rank_tol))
+            sol = solve_cee(prob, opts)
         except (SolverError, DataError):
             failures += 1
             continue

@@ -24,6 +24,10 @@ from .cee import CEEProblem, CEESolution, SolveOptions, solve_cee
 from .errors import DataError, StructuralError, VerificationError
 from .polyalg import SchurPolynomial
 
+# largest imaginary residue of T truncated away for conjugate-closed data
+_IMAG_TOL = 1e-12
+# largest condition number of I + T the construction accepts
+_COND_THRESHOLD = 1e12
 
 @dataclass(frozen=True, eq=False)
 class InterpolationData:
@@ -101,11 +105,7 @@ def build_vandermonde(nodes) -> np.ndarray:
     return np.vander(z, N=z.size, increasing=False)
 
 
-def build_T(
-    data: InterpolationData,
-    paper_factor: bool = False,
-    imag_tol: float = 1e-12,
-) -> np.ndarray:
+def build_T(data: InterpolationData, paper_factor: bool = False) -> np.ndarray:
     """Coupling matrix mapping (1, a) to (0, g) for exact interpolants.
 
     With f = b/(2a) and f(z_k) = c_k we get b(z_k) = 2 c_k a(z_k), hence
@@ -117,7 +117,7 @@ def build_T(
     instead (an inconsistent scaling kept reproducible behind this flag;
     it corresponds to reading the interpolation constraint as
     b(z_k) = (1/2) c_k a(z_k)).  For conjugate-closed data T is real up to
-    roundoff; the imaginary residue is checked against ``imag_tol`` and
+    roundoff; the imaginary residue is checked against ``_IMAG_TOL`` and
     then truncated.
     """
     V = build_vandermonde(data.nodes)
@@ -126,20 +126,20 @@ def build_T(
     inner = 0.5 * W if paper_factor else 2.0 * W
     T = 0.5 * (inner - np.eye(data.n + 1))
     imag_residue = float(np.max(np.abs(T.imag)))
-    if imag_residue > imag_tol:
+    if imag_residue > _IMAG_TOL:
         raise DataError(
-            f"T has imaginary residue {imag_residue:.3e} > {imag_tol:g}; "
+            f"T has imaginary residue {imag_residue:.3e} > {_IMAG_TOL:g}; "
             "data is not closed under conjugation"
         )
     return T.real.copy()
 
 
-def build_uU_np(T: np.ndarray, cond_threshold: float = 1e12) -> NPParams:
+def build_uU_np(T: np.ndarray) -> NPParams:
     """Interpolation parameters [u U] = [0 I_n] (I + T)^{-1} T.
 
     I + T nonsingular is a structural condition of the construction; it is
-    enforced by a condition-number threshold and violation raises
-    :class:`StructuralError`.
+    enforced by the condition-number threshold ``_COND_THRESHOLD``, and
+    violation raises :class:`StructuralError`.
     """
     T = np.asarray(T, dtype=float)
     m = T.shape[0]
@@ -147,7 +147,7 @@ def build_uU_np(T: np.ndarray, cond_threshold: float = 1e12) -> NPParams:
         raise DataError("T must be square of size n+1 >= 2")
     M = np.eye(m) + T
     cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > cond_threshold:
+    if not np.isfinite(cond) or cond > _COND_THRESHOLD:
         raise StructuralError(
             f"I + T is singular or ill-conditioned (cond = {cond:.3e}); "
             "the interpolation construction does not apply"
@@ -218,7 +218,6 @@ def solve_np(
     paper_factor: bool = False,
     normalize: bool = False,
     interp_tol: float = 1e-8,
-    cond_threshold: float = 1e12,
 ) -> NPResult:
     """Solve the interpolation problem for one choice of sigma.
 
@@ -239,10 +238,8 @@ def solve_np(
     alpha = implied_scale(data) if normalize else 1.0
     work = data.scaled(alpha) if alpha != 1.0 else data
     T = build_T(work, paper_factor=paper_factor)
-    params = build_uU_np(T, cond_threshold=cond_threshold)
-    prob = CEEProblem(
-        sigma=sigma.coeffs, u=params.u, U=params.U, source="interpolation"
-    )
+    params = build_uU_np(T)
+    prob = CEEProblem(sigma=sigma.coeffs, u=params.u, U=params.U)
     # under method "fixed-point", h'Ph >= 1 mid-iteration is not a divergence
     # certificate here: the guarded sweep gives up on interpolation problems
     # that the unguarded sweep solves to accepted answers.  Only the

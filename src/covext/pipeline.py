@@ -42,17 +42,22 @@ from .polyalg import (
 )
 
 
+# fixed thresholds of the verification suite: CEE residual, recomputed
+# (a, rho, b) against the recorded ones, relative PSD margin of P, and the
+# interpolation first-row consistency
+_CEE_RESIDUAL_TOL = 1e-9
+_EXTRACTION_TOL = 1e-9
+_PSD_TOL = 1e-9
+_FIRST_ROW_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class VerifyTolerances:
-    """Thresholds for the post-hoc verification suite."""
+    """Settable thresholds of the post-hoc verification suite."""
 
-    cee_residual: float = 1e-9
-    extraction: float = 1e-9
     factor_identity: float = 1e-10
     match: float = 1e-8
     positive_real: float = 1e-10
-    psd: float = 1e-9
-    first_row: float = 1e-6
     pr_samples: int = 4096
 
 
@@ -103,10 +108,7 @@ def _rebuild_cee_problem(problem, record: SolutionRecord) -> CEEProblem:
         return problem_from_covariances(problem.c, problem.sigma)
     _, T = _np_workdata(problem, record)
     params = build_uU_np(T)
-    return CEEProblem(
-        sigma=problem.sigma.coeffs, u=params.u, U=params.U,
-        source="interpolation",
-    )
+    return CEEProblem(sigma=problem.sigma.coeffs, u=params.u, U=params.U)
 
 
 def verification_report(
@@ -127,16 +129,16 @@ def verification_report(
                             passed=ok))
 
     resid = cee_residual(prob, P)
-    add("cee_residual", resid, tols.cee_residual)
+    add("cee_residual", resid, _CEE_RESIDUAL_TOL)
     add("residual_matches_recorded", abs(resid - record.residual), 1e-14)
 
     a_hat, rho_hat = extract_filter(prob, P)
     add("extracted_a_matches", float(np.max(np.abs(a_hat - record.a))),
-        tols.extraction)
-    add("extracted_rho_matches", abs(rho_hat - record.rho), tols.extraction)
+        _EXTRACTION_TOL)
+    add("extracted_rho_matches", abs(rho_hat - record.rho), _EXTRACTION_TOL)
     b_hat = a_hat + 2.0 * g_of_P(prob, P)
     add("derived_b_matches", float(np.max(np.abs(b_hat - record.b))),
-        tols.extraction)
+        _EXTRACTION_TOL)
 
     add("factor_identity_residual",
         factor_residual(
@@ -158,8 +160,8 @@ def verification_report(
         ok=0.0 < record.rho <= 1.0 + 1e-12)
     lam_min = float(np.linalg.eigvalsh(P)[0])
     scale = max(1.0, float(np.max(np.abs(P))))
-    add("P_min_eigenvalue", lam_min, tols.psd * scale,
-        ok=lam_min >= -tols.psd * scale)
+    add("P_min_eigenvalue", lam_min, _PSD_TOL * scale,
+        ok=lam_min >= -_PSD_TOL * scale)
 
     if isinstance(problem, CovarianceProblem):
         n = problem.c.n
@@ -174,7 +176,7 @@ def verification_report(
                                 scale=scale_np)
         add("interp_residual", match, tols.match)
         first_row = float((T @ np.concatenate([[1.0], record.a]))[0])
-        add("first_row_consistency", abs(first_row), tols.first_row)
+        add("first_row_consistency", abs(first_row), _FIRST_ROW_TOL)
     add("match_value_matches_recorded", abs(match - record.match), 1e-14)
 
     f = RationalPR(

@@ -293,7 +293,6 @@ def test_criterion_07_interpolation_recovery():
     ok = ok and abs(params_alt.u[0] - 64.0 / 153.0) <= 1e-12
     sol_alt = solve_cee(CEEProblem(
         sigma=np.array([0.0]), u=params_alt.u, U=params_alt.U,
-        source="interpolation",
     ))
     resid_alt = interp_residual(sol_alt, worked)
     ok = ok and abs(sol_alt.a[0] + 64.0 / 153.0) <= 1e-10

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -126,7 +127,7 @@ def random_newton_point(rng, n):
     """A Schur sigma with dense, non-Toeplitz (u, U) and a symmetric P."""
     sigma = reflection_to_tail(rng.uniform(-0.95, 0.95, n))
     prob = CEEProblem(sigma=sigma, u=rng.standard_normal(n),
-                      U=rng.standard_normal((n, n)), source="interpolation")
+                      U=rng.standard_normal((n, n)))
     A = rng.standard_normal((n, n))
     return prob, 0.5 * (A + A.T)
 
@@ -332,15 +333,80 @@ class TestPositiveDegree:
             assert res.degree >= algebraic_degree(c)
 
 
+def random_positive_sequence(rng, n):
+    """A normalized positive covariance sequence: reflection coefficients
+    in (-1, 1) through the Levinson recursion."""
+    k = rng.uniform(-0.95, 0.95, n)
+    c = np.zeros(n + 1)
+    c[0] = 1.0
+    a = np.zeros(0)  # predictor coefficients, a(z) = 1 + a_1 z^-1 + ...
+    err = 1.0
+    for m in range(n):
+        c[m + 1] = -k[m] * err - np.dot(a, c[m:0:-1])
+        a = np.concatenate([a + k[m] * a[::-1], [k[m]]])
+        err *= 1.0 - k[m] ** 2
+    return CovarianceSequence(c)
+
+
+class TestRampFamily:
+    def test_covariance_path_scales_the_sequence(self):
+        # on covariance parameters the ramp is the parameter path of the
+        # scaled sequence t c, whose Toeplitz matrix stays positive definite
+        rng = np.random.default_rng(31)
+        for n in range(1, 13):
+            for _ in range(10):
+                c = random_positive_sequence(rng, n)
+                assert np.linalg.eigvalsh(c.toeplitz())[0] > 0.0
+                prob = build_problem(build_cov_params(c),
+                                     SchurPolynomial(np.zeros(n)))
+                family = cee._ramp_family(prob)
+                for t in (0.1, 0.5, 0.9, 0.999):
+                    ref = build_cov_params(CovarianceSequence(
+                        np.concatenate([[1.0], t * c.c[1:]])))
+                    pt = family(t)
+                    scale = max(1.0, np.max(np.abs(ref.u)))
+                    assert np.max(np.abs(pt.u - ref.u)) <= 1e-13 * scale
+                    assert np.max(np.abs(pt.U - ref.U)) <= 1e-13 * scale
+
+    def test_endpoints(self):
+        rng = np.random.default_rng(32)
+        for n in (1, 4, 9):
+            prob, _ = random_newton_point(rng, n)
+            family = cee._ramp_family(prob)
+            start = family(0.0)
+            assert np.array_equal(start.sigma, prob.sigma)
+            assert np.all(start.u == 0.0) and np.all(start.U == 0.0)
+            assert cee_residual(start, np.zeros((n, n))) == 0.0
+            assert family(1.0) is prob
+
+    def test_singular_ramp_point_is_a_failed_substep(self):
+        # I - (1 - t) U is singular at t = 1/2 for U = 2; plain Newton from
+        # P = 0 fails here, so the ramp tries t = 1/2 and must treat the
+        # singular solve as a failed substep, ending in a typed error
+        prob = CEEProblem(sigma=[-0.9], u=[-2.0], U=[[2.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            cee._ramp_family(prob)(0.5)
+        with pytest.raises(SolverError, match="continuation stalled"):
+            solve_cee(prob)
+
+
 class TestUniversality:
+    def test_problem_carries_no_source(self):
+        # the type itself makes the solver source-blind: a problem is
+        # (sigma, u, U) and the derived Gamma, nothing else
+        names = [f.name for f in dataclasses.fields(CEEProblem)]
+        assert names == ["sigma", "u", "U", "Gamma"]
+
     def test_solver_has_no_source_branches(self):
         # the identical code path serves covariance- and interpolation-
-        # sourced parameters; the source tag must never steer the solver
+        # sourced parameters; nothing in it tests the structure of (u, U)
+        # or rebuilds a covariance sequence
         for fn in (
             cee.solve_cee,
             cee._fixed_point,
+            cee._continuation,
+            cee._ramp_family,
             cee._newton,
-            cee._newton_chain,
             cee._try_step,
             cee._stein_matrix,
             cee._newton_jacobian,
@@ -350,7 +416,10 @@ class TestUniversality:
             cee.cee_residual,
             cee.extract_filter,
         ):
-            assert ".source" not in inspect.getsource(fn)
+            src = inspect.getsource(fn)
+            for name in ("_strict_lower_toeplitz", "_sequence_from_u",
+                         "build_cov_params", "CovarianceSequence"):
+                assert name not in src, (fn.__name__, name)
 
 
 class TestCompanion:

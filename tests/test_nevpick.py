@@ -198,8 +198,7 @@ class TestSolveNP:
         d = InterpolationData(nodes=[z, np.conj(z)], values=[c, np.conj(c)])
         sigma = SchurPolynomial([-0.7577517989198768])
         params = build_uU_np(build_T(d))
-        prob = CEEProblem(sigma=sigma.coeffs, u=params.u, U=params.U,
-                          source="interpolation")
+        prob = CEEProblem(sigma=sigma.coeffs, u=params.u, U=params.U)
         opts = SolveOptions(method="fixed-point")
         with pytest.raises(SolverError, match="after 11 steps"):
             solve_cee(prob, opts)

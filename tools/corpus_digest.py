@@ -1,5 +1,8 @@
-"""Solve the criterion-02 corpus and print its wall clock, a digest and an
-outcome report.
+"""Solve the acceptance workloads and print, for each, its wall clock, a
+digest and an outcome report.
+
+Three sections: the criterion-02 corpus, the positive-degree grids and the
+interpolation set.
 
 The corpus is the acceptance suite's round-trip recipe: seed 20260808,
 100 instances for each n in 2..8, reflection coefficients of a and sigma
@@ -14,9 +17,25 @@ report judges it instead.  It lists every failing instance with its typed
 reason, the worst and median |a err| and the worst |rho err| against the
 generating filter, and the solve count and total iterations per method.
 
+The grid section solves every point of the criterion-08 and
+``test_exceeds_algebraic_degree`` positive-degree grids one by one, without
+the scan's early exit at rank 0, and prints the point count, the failures,
+a sha256 over the per-point ranks and the time.  Two trees with the same
+grid digest give the same rank (or failure) at every point.
+
+The interpolation section runs ``solve_np`` on criterion 07's 31 instances
+and on a seeded random set (75 instances for each n in 1..6, reflection
+coefficients in (-0.95, 0.95), each at the generating sigma and at an
+unrelated sigma), each with both coupling factors.  It prints how many
+were accepted, rejected (``VerificationError``), failed (``SolverError``)
+or structural (``StructuralError``), and a sha256 over the status sequence.
+
+``--details`` adds one line per grid point and per interpolation problem,
+so the outputs of two trees can be compared with ``diff``.
+
 Run from any directory; the covext sources next to this script are used:
 
-    python3 tools/corpus_digest.py
+    python3 tools/corpus_digest.py [--details]
 """
 
 from __future__ import annotations
@@ -31,8 +50,22 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from covext.cee import SolveOptions, problem_from_covariances, solve_cee  # noqa: E402
-from covext.covdata import CovarianceSequence  # noqa: E402
+from covext.cee import (  # noqa: E402
+    _GRID_EPS,
+    SolveOptions,
+    _sigma_grid,
+    build_problem,
+    problem_from_covariances,
+    solve_cee,
+)
+from covext.covdata import CovarianceSequence, build_cov_params  # noqa: E402
+from covext.errors import (  # noqa: E402
+    DataError,
+    SolverError,
+    StructuralError,
+    VerificationError,
+)
+from covext.nevpick import InterpolationData, solve_np  # noqa: E402
 from covext.polyalg import (  # noqa: E402
     RationalPR,
     SchurPolynomial,
@@ -46,6 +79,20 @@ SEED = 20260808
 DEGREES = range(2, 9)
 PER_DEGREE = 100
 RADIUS = 0.95
+NP_SEED = 20261018
+NP_DEGREES = range(1, 7)
+NP_PER_DEGREE = 75
+
+
+def forward_instance(rng, n, radius):
+    """(a, sigma, rho, b, c): a random filter and its covariance sequence,
+    drawn as in the acceptance suite."""
+    a = SchurPolynomial(reflection_to_tail(rng.uniform(-radius, radius, n)))
+    sigma = SchurPolynomial(reflection_to_tail(rng.uniform(-radius, radius, n)))
+    rho = unit_variance_rho(a, sigma)
+    b = monic_numerator(a, sigma, rho)
+    c_tail = laurent_coeffs(RationalPR(a, b), n)
+    return a, sigma, rho, b, CovarianceSequence(np.concatenate([[1.0], c_tail]))
 
 
 def corpus_problems():
@@ -54,20 +101,119 @@ def corpus_problems():
     rng = np.random.default_rng(SEED)
     for n in DEGREES:
         for _ in range(PER_DEGREE):
-            a = SchurPolynomial(reflection_to_tail(rng.uniform(-RADIUS, RADIUS, n)))
-            sigma = SchurPolynomial(reflection_to_tail(rng.uniform(-RADIUS, RADIUS, n)))
-            rho = unit_variance_rho(a, sigma)
-            b = monic_numerator(a, sigma, rho)
-            c_tail = laurent_coeffs(RationalPR(a, b), n)
-            c = CovarianceSequence(np.concatenate([[1.0], c_tail]))
+            a, sigma, rho, _, c = forward_instance(rng, n, RADIUS)
             yield a, rho, problem_from_covariances(c, sigma)
 
 
-def main() -> int:
+def grid_scans():
+    """(sequence, grid) for every positive-degree scan of criterion 08 and
+    ``test_exceeds_algebraic_degree``, in test order."""
+    white2 = CovarianceSequence([1.0, 0.0, 0.0])
+    geo = CovarianceSequence([1.0, 0.5, 0.25])
+    degen = CovarianceSequence([1.0, 0.2, 0.5])
+    cases = [white2, CovarianceSequence([1.0, 0.0, 0.0, 0.0]), geo, degen]
+    rng = np.random.default_rng(SEED + 8)
+    for _ in range(8):
+        cases.append(forward_instance(rng, int(rng.integers(2, 4)), 0.85)[4])
+    scans = [(c, 7) for c in cases] + [(white2, 5), (geo, 11), (degen, 9)]
+    rng = np.random.default_rng(77)
+    for _ in range(6):
+        scans.append((forward_instance(rng, int(rng.integers(2, 4)), 0.8)[4], 7))
+    return scans
+
+
+def np_nodes(rng, count):
+    """Criterion 07's nodes: conjugate pairs, then real nodes."""
+    nodes = []
+    while len(nodes) < count - (count % 2):
+        z = rng.uniform(1.4, 3.0) * np.exp(1j * rng.uniform(0.2, np.pi - 0.2))
+        nodes.extend([z, np.conj(z)])
+    while len(nodes) < count:
+        nodes.append(complex(rng.uniform(1.4, 4.0) * rng.choice([-1.0, 1.0])))
+    return np.array(nodes, dtype=complex)
+
+
+def np_problems():
+    """(data, sigma) pairs: criterion 07's 31 instances, then the random
+    set at the generating and at an unrelated sigma."""
+    yield (InterpolationData(nodes=[2.0, 3.0], values=[5.0 / 6.0, 0.7]),
+           SchurPolynomial([0.0]))
+    rng = np.random.default_rng(SEED + 7)
+    for n in range(1, 7):
+        for _ in range(5):
+            a, sigma, _, b, _ = forward_instance(rng, n, 0.85)
+            nodes = np_nodes(rng, n + 1)
+            yield InterpolationData(nodes, RationalPR(a, b)(nodes)), sigma
+    rng = np.random.default_rng(NP_SEED)
+    for n in NP_DEGREES:
+        for _ in range(NP_PER_DEGREE):
+            a, sigma, _, b, _ = forward_instance(rng, n, RADIUS)
+            other = SchurPolynomial(
+                reflection_to_tail(rng.uniform(-RADIUS, RADIUS, n)))
+            nodes = np_nodes(rng, n + 1)
+            data = InterpolationData(nodes, RationalPR(a, b)(nodes))
+            yield data, sigma
+            yield data, other
+
+
+def grid_section(details: bool) -> None:
+    digest = hashlib.sha256()
+    points = failures = 0
+    t0 = time.perf_counter()
+    for scan, (c, grid) in enumerate(grid_scans()):
+        params = build_cov_params(c)
+        # positive_degree's default seed
+        for k, gammas in enumerate(_sigma_grid(c.n, grid, _GRID_EPS, seed=0)):
+            prob = build_problem(params, SchurPolynomial(reflection_to_tail(gammas)))
+            try:
+                outcome = f"rank {solve_cee(prob).rank}"
+            except (SolverError, DataError) as exc:
+                outcome = f"error {type(exc).__name__}"
+                failures += 1
+            points += 1
+            line = f"grid scan {scan} point {k} {outcome}"
+            digest.update(f"{line}\n".encode())
+            if details:
+                print(line)
+    elapsed = time.perf_counter() - t0
+    print(f"grid points {points}  failures {failures}  elapsed {elapsed:.2f} s")
+    print(f"grid sha256 {digest.hexdigest()}")
+
+
+def np_section(details: bool) -> None:
+    digest = hashlib.sha256()
+    counts = defaultdict(int)
+    t0 = time.perf_counter()
+    for index, (data, sigma) in enumerate(np_problems()):
+        for paper_factor in (False, True):
+            try:
+                solve_np(data, sigma, paper_factor=paper_factor)
+                status = "accepted"
+            except VerificationError:
+                status = "rejected"
+            except StructuralError:
+                status = "structural"
+            except SolverError:
+                status = "failed"
+            except DataError:
+                status = "data"
+            counts[status] += 1
+            line = f"np #{index} paper_factor={paper_factor} {status}"
+            digest.update(f"{line}\n".encode())
+            if details:
+                print(line)
+    elapsed = time.perf_counter() - t0
+    summary = "  ".join(f"{s} {counts[s]}" for s in
+                        ("accepted", "rejected", "failed", "structural", "data"))
+    print(f"np problems {sum(counts.values())}  {summary}  elapsed {elapsed:.2f} s")
+    print(f"np sha256 {digest.hexdigest()}")
+
+
+def corpus_section() -> None:
     opts = SolveOptions(max_iter=20_000)
     digest = hashlib.sha256()
     failures = []
-    a_err = []
+    a_err = {}
     rho_err = []
     per_method = defaultdict(lambda: [0, 0])  # method -> [solves, iterations]
     # timed like the criterion-02 gate: instance generation plus solves
@@ -82,7 +228,7 @@ def main() -> int:
             continue
         digest.update(sol.P.tobytes())
         digest.update(f"{sol.method} {sol.iterations}\n".encode())
-        a_err.append(float(np.max(np.abs(sol.a - a.coeffs))))
+        a_err[index] = float(np.max(np.abs(sol.a - a.coeffs)))
         rho_err.append(abs(sol.rho - rho))
         per_method[sol.method][0] += 1
         per_method[sol.method][1] += sol.iterations
@@ -93,10 +239,19 @@ def main() -> int:
     for index, n, reason in failures:
         print(f"failure #{index} n={n}  {reason}")
     if a_err:
-        print(f"|a err| worst {max(a_err):.3e}  median {np.median(a_err):.3e}  "
+        worst = max(a_err, key=a_err.get)
+        print(f"|a err| worst {a_err[worst]:.3e} (#{worst})  "
+              f"median {np.median(list(a_err.values())):.3e}  "
               f"|rho err| worst {max(rho_err):.3e}")
     for method, (solves, iterations) in sorted(per_method.items()):
         print(f"method {method}  solves {solves}  iterations {iterations}")
+
+
+def main() -> int:
+    details = "--details" in sys.argv[1:]
+    corpus_section()
+    grid_section(details)
+    np_section(details)
     return 0
 
 
