@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -40,11 +41,22 @@ def _load_json(path) -> dict:
         raise DataError(f"{path} is not valid JSON: {exc}") from exc
 
 
+@lru_cache(maxsize=None)
+def _validator(schema_name: str):
+    """The validator of a shipped schema, built on first use and kept for
+    the process.  Building it checks the schema against its metaschema
+    (``jsonschema.SchemaError`` if that fails), once per schema."""
+    schema = _schema(schema_name)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def _validate(doc: dict, schema_name: str, path) -> None:
-    try:
-        jsonschema.validate(doc, _schema(schema_name))
-    except jsonschema.ValidationError as exc:
-        raise DataError(f"{path} violates {schema_name}: {exc.message}") from exc
+    # best_match picks the same error that jsonschema.validate would raise
+    error = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(doc))
+    if error is not None:
+        raise DataError(f"{path} violates {schema_name}: {error.message}") from error
 
 
 def file_sha256(path) -> str:

@@ -1,11 +1,16 @@
+import dataclasses
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 
-from covext.cli import main
+import covext.cli
+import covext.io
+from covext.cli import build_parser, main
 from covext.errors import DataError
 from covext.io import (
+    dump_solution,
     load_problem,
     load_solution,
     read_series_csv,
@@ -79,6 +84,107 @@ class TestProblemFiles:
         prob = load_problem(p)
         assert prob.c.c[1] == pytest.approx(0.5)
         assert prob.c.scale == pytest.approx(4.0)
+
+
+@pytest.fixture
+def fresh_validators():
+    """Empty the per-process validator cache around a test, so the test
+    sees each schema's first build."""
+    covext.io._validator.cache_clear()
+    yield
+    covext.io._validator.cache_clear()
+
+
+def _schema_message(doc, schema_name, path):
+    """The DataError text for ``doc``: jsonschema.validate's own error, the
+    one best_match picks, behind the file path and schema name."""
+    with pytest.raises(jsonschema.ValidationError) as exc:
+        jsonschema.validate(doc, covext.io._schema(schema_name))
+    return f"{path} violates {schema_name}: {exc.value.message}"
+
+
+class TestSchemaValidation:
+    @pytest.mark.parametrize("doc", [
+        {"kind": "covariance", "sigma": [0.0]},  # missing c
+        {"kind": "covariance", "c": "1, 0.5", "sigma": [0.0]},
+        {"kind": "covariance", "c": [1.0, 0.5], "sigma": []},
+        {"kind": "interpolation", "nodes": [[2.0, 0.0], [3.0, 0.0]],
+         "values": [[0.5, 0.0], [0.5]], "sigma": [0.0]},
+        {"kind": "spectrum", "c": [1.0, 0.5], "sigma": [0.0]},
+    ])
+    def test_problem_message(self, tmp_path, doc):
+        p = tmp_path / "bad.json"
+        write_json(p, doc)
+        with pytest.raises(DataError) as exc:
+            load_problem(p)
+        assert str(exc.value) == _schema_message(doc, "problem.schema.json", p)
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.update(P="0.5"),  # wrongly typed P
+        lambda d: d.update(P=[0.5, "x", 0.0, 0.5]),
+        lambda d: d.update(interp_residual=0.0),  # extra match: oneOf fails
+        lambda d: d.pop("rho"),
+        lambda d: d["provenance"].pop("tol"),
+        lambda d: d.update(rank=-1),
+    ])
+    def test_solution_message(self, cov_problem_geo, tmp_path, edit):
+        out = tmp_path / "sol.json"
+        assert main(["extend", str(cov_problem_geo), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        edit(doc)
+        write_json(out, doc)
+        with pytest.raises(DataError) as exc:
+            load_solution(out)
+        assert str(exc.value) == _schema_message(doc, "solution.schema.json", out)
+
+    def test_dump_solution_message(self, cov_problem_geo, tmp_path):
+        out = tmp_path / "sol.json"
+        main(["extend", str(cov_problem_geo), "--out", str(out)])
+        record = dataclasses.replace(load_solution(out), rho=-1.0)
+        with pytest.raises(DataError) as exc:
+            dump_solution(record, out)
+        doc = covext.io.solution_doc(record)
+        assert str(exc.value) == _schema_message(doc, "solution.schema.json", out)
+
+    def test_free_extra_property_accepted(self, tmp_path):
+        p = tmp_path / "extra.json"
+        write_json(p, {"kind": "covariance", "c": [1.0, 0.5], "sigma": [0.0],
+                       "comment": "not in the schema"})
+        assert load_problem(p).c.n == 1
+
+    def test_metaschema_checked_once_per_schema(
+        self, cov_problem_geo, tmp_path, monkeypatch, fresh_validators
+    ):
+        cls = jsonschema.validators.validator_for(
+            covext.io._schema("problem.schema.json"))
+        check_schema = cls.check_schema
+        checked = []
+
+        def spy(schema, *args, **kwargs):
+            checked.append(schema["$id"].rsplit("/", 1)[-1])
+            return check_schema(schema, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "check_schema", spy)
+        out = tmp_path / "sol.json"
+        for _ in range(3):
+            problem = load_problem(cov_problem_geo)
+            record, _ = run_extend(problem)
+            dump_solution(record, out)
+            load_solution(out)
+        assert main(["extend", str(cov_problem_geo), "--out", str(out)]) == 0
+        assert main(["verify", str(out), str(cov_problem_geo)]) == 0
+        assert sorted(checked) == ["problem.schema.json", "solution.schema.json"]
+
+    def test_broken_schema_raises_schema_error(
+        self, cov_problem_n1, monkeypatch, fresh_validators
+    ):
+        broken = {"$schema": "https://json-schema.org/draft/2020-12/schema",
+                  "type": "object", "required": "c"}
+        monkeypatch.setattr(covext.io, "_schema", lambda name: broken)
+        with pytest.raises(jsonschema.SchemaError):
+            covext.io._validator("problem.schema.json")
+        with pytest.raises(jsonschema.SchemaError):
+            load_problem(cov_problem_n1)
 
 
 class TestExtendCommand:
@@ -351,6 +457,67 @@ class TestSpectrumCommand:
         assert rows[-1, 1] == pytest.approx(1.0 / 3.0, abs=1e-10)
         assert rows[-1, 2] == pytest.approx(1.0 / 6.0, abs=1e-10)
         assert np.max(np.abs(rows[:, 1] - 2.0 * rows[:, 2])) <= 1e-10
+
+
+class TestParserReuse:
+    """``main`` parses every call with one parser built once per process;
+    no option may carry over from one call to the next."""
+
+    def test_build_parser_returns_fresh_parser(self):
+        assert build_parser() is not build_parser()
+        assert covext.cli._parser() is covext.cli._parser()
+
+    def test_paper_factor_does_not_carry_over(self, np_problem, tmp_path):
+        # values four times f(z_k) make the (1/2) coupling factor solve the
+        # problem; --interp-tol lets its interpolation mismatch be written
+        scaled = tmp_path / "np4.json"
+        write_json(scaled, {
+            "kind": "interpolation",
+            "nodes": [[2.0, 0.0], [3.0, 0.0]],
+            "values": [[10.0 / 3.0, 0.0], [2.8, 0.0]],
+            "sigma": [0.0],
+        })
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        main(["nevpick", str(scaled), "--paper-factor", "--interp-tol", "10",
+              "--out", str(first)])
+        assert load_solution(first).provenance["paper_factor"] is True
+        assert main(["nevpick", str(np_problem), "--out", str(second)]) == 0
+        assert load_solution(second).provenance["paper_factor"] is False
+
+    def test_samples_do_not_carry_over(self, cov_problem_geo, tmp_path,
+                                       monkeypatch):
+        seen = []
+        report = covext.cli.verification_report
+
+        def spy(problem, record, tols):
+            seen.append(tols.pr_samples)
+            return report(problem, record, tols)
+
+        monkeypatch.setattr(covext.cli, "verification_report", spy)
+        out = tmp_path / "sol.json"
+        assert main(["extend", str(cov_problem_geo), "--samples", "64",
+                     "--out", str(out)]) == 0
+        assert load_solution(out).provenance["samples"] == 64
+        assert main(["verify", str(out), str(cov_problem_geo)]) == 0
+        assert seen == [4096]
+
+    def test_spectrum_default_rows(self, cov_problem_n1, tmp_path):
+        sol = tmp_path / "sol.json"
+        main(["extend", str(cov_problem_n1), "--out", str(sol)])
+        few, default = tmp_path / "few.csv", tmp_path / "default.csv"
+        assert main(["spectrum", str(sol), "--samples", "9",
+                     "--out", str(few)]) == 0
+        assert main(["spectrum", str(sol), "--out", str(default)]) == 0
+        assert len(default.read_text().splitlines()) == 1 + 512
+
+    def test_identical_runs_identical_files(self, cov_problem_geo, tmp_path):
+        other = tmp_path / "other.json"
+        default = cov_problem_geo.with_name("geo.solution.json")
+        assert main(["extend", str(cov_problem_geo), "--out", str(other)]) == 0
+        assert main(["extend", str(cov_problem_geo)]) == 0
+        first = default.read_bytes()
+        assert main(["extend", str(cov_problem_geo)]) == 0
+        assert default.read_bytes() == first == other.read_bytes()
 
 
 class TestSeriesCSV:

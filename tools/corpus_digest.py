@@ -1,8 +1,8 @@
 """Solve the acceptance workloads and print, for each, its wall clock, a
 digest and an outcome report.
 
-Three sections: the criterion-02 corpus, the positive-degree grids and the
-interpolation set.
+Four sections: the criterion-02 corpus, the positive-degree grids, the
+interpolation set and the command-line round trips.
 
 The corpus is the acceptance suite's round-trip recipe: seed 20260808,
 100 instances for each n in 2..8, reflection coefficients of a and sigma
@@ -30,8 +30,22 @@ unrelated sigma), each with both coupling factors.  It prints how many
 were accepted, rejected (``VerificationError``), failed (``SolverError``)
 or structural (``StructuralError``), and a sha256 over the status sequence.
 
-``--details`` adds one line per grid point and per interpolation problem,
-so the outputs of two trees can be compared with ``diff``.
+The cli section writes a seeded set of problem files (10 covariance
+problems for each n in 2..6 and 10 interpolation problems for each n in
+1..3, reflection coefficients in (-0.95, 0.95); each interpolation problem
+once at the generating sigma and once at an unrelated sigma) and runs each
+through ``cli.main`` in-process: ``extend`` or ``nevpick``, then ``verify``.
+Five fixed problems follow that the commands must reject: two schema
+violations, a singular sequence, a file of the wrong kind and clustered
+nodes.  It prints how many problems gave each pair of exit codes, and a
+sha256 over the exit codes, the printed output (with the temporary
+directory masked) and the bytes of every solution file written.  Two trees
+with the same cli digest write byte-identical solution files and print the
+same messages.
+
+``--details`` adds one line per grid point, per interpolation problem and
+per cli round trip, so the outputs of two trees can be compared with
+``diff``.
 
 Run from any directory; the covext sources next to this script are used:
 
@@ -40,8 +54,12 @@ Run from any directory; the covext sources next to this script are used:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import json
 import sys
+import tempfile
 import time
 from collections import defaultdict
 from pathlib import Path
@@ -50,6 +68,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
+from covext import cli  # noqa: E402
 from covext.cee import (  # noqa: E402
     _GRID_EPS,
     SolveOptions,
@@ -82,6 +101,10 @@ RADIUS = 0.95
 NP_SEED = 20261018
 NP_DEGREES = range(1, 7)
 NP_PER_DEGREE = 75
+CLI_SEED = 20261019
+CLI_COV_DEGREES = range(2, 7)
+CLI_NP_DEGREES = range(1, 4)
+CLI_PER_DEGREE = 10
 
 
 def forward_instance(rng, n, radius):
@@ -154,6 +177,64 @@ def np_problems():
             data = InterpolationData(nodes, RationalPR(a, b)(nodes))
             yield data, sigma
             yield data, other
+
+
+def cli_problems():
+    """(command, problem document) pairs for the cli section: the covariance
+    problems, the interpolation problems at the generating and at an
+    unrelated sigma, then the problems the commands must reject."""
+    rng = np.random.default_rng(CLI_SEED)
+    for n in CLI_COV_DEGREES:
+        for _ in range(CLI_PER_DEGREE):
+            _, sigma, _, _, c = forward_instance(rng, n, RADIUS)
+            yield "extend", {"kind": "covariance", "c": c.c.tolist(),
+                             "sigma": sigma.coeffs.tolist()}
+    for n in CLI_NP_DEGREES:
+        for _ in range(CLI_PER_DEGREE):
+            a, sigma, _, b, _ = forward_instance(rng, n, RADIUS)
+            other = reflection_to_tail(rng.uniform(-RADIUS, RADIUS, n))
+            nodes = np_nodes(rng, n + 1)
+            values = RationalPR(a, b)(nodes)
+            doc = {"kind": "interpolation",
+                   "nodes": [[z.real, z.imag] for z in nodes],
+                   "values": [[v.real, v.imag] for v in values]}
+            yield "nevpick", {**doc, "sigma": sigma.coeffs.tolist()}
+            yield "nevpick", {**doc, "sigma": other.tolist()}
+    yield "extend", {"kind": "covariance", "sigma": [0.0]}
+    yield "extend", {"kind": "covariance", "c": "1, 0.5", "sigma": [0.0]}
+    yield "extend", {"kind": "covariance", "c": [1.0, 1.0], "sigma": [0.0]}
+    yield "nevpick", {"kind": "covariance", "c": [1.0, 0.5], "sigma": [0.0]}
+    yield "nevpick", {"kind": "interpolation",
+                      "nodes": [[2.0, 0.0], [2.0000000001, 0.0], [-3.0, 0.0]],
+                      "values": [[0.6, 0.0], [5.0, 0.0], [1.0, 0.0]],
+                      "sigma": [0.0, 0.0]}
+
+
+def cli_section(details: bool) -> None:
+    digest = hashlib.sha256()
+    counts = defaultdict(int)
+    t0 = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        for index, (command, doc) in enumerate(cli_problems()):
+            problem = Path(tmp) / f"{index}.problem.json"
+            solution = Path(tmp) / f"{index}.solution.json"
+            problem.write_text(json.dumps(doc), encoding="utf-8")
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+                solve_rc = cli.main([command, str(problem), "--out", str(solution)])
+                verify_rc = cli.main(["verify", str(solution), str(problem)])
+            counts[f"{solve_rc}/{verify_rc}"] += 1
+            line = f"cli #{index} {command} exit {solve_rc}/{verify_rc}"
+            digest.update(f"{line}\n".encode())
+            digest.update(printed.getvalue().replace(tmp, "<tmp>").encode())
+            if solution.exists():
+                digest.update(solution.read_bytes())
+            if details:
+                print(line)
+    elapsed = time.perf_counter() - t0
+    summary = "  ".join(f"exit {codes} {count}" for codes, count in sorted(counts.items()))
+    print(f"cli problems {sum(counts.values())}  {summary}  elapsed {elapsed:.2f} s")
+    print(f"cli sha256 {digest.hexdigest()}")
 
 
 def grid_section(details: bool) -> None:
@@ -252,6 +333,7 @@ def main() -> int:
     corpus_section()
     grid_section(details)
     np_section(details)
+    cli_section(details)
     return 0
 
 
