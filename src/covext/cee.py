@@ -17,6 +17,7 @@ data or from interpolation data and the solver code path is identical.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -35,6 +36,7 @@ _NEWTON_MAX_ITER = 100
 _RAMP_NEWTON_MAX_ITER = 25
 # margin from +-1 of the positive-degree grid's reflection coefficients
 _GRID_EPS = 0.05
+_EPS = float(np.finfo(float).eps)
 
 
 def companion(vec) -> np.ndarray:
@@ -242,16 +244,88 @@ def _newton_jacobian(
     return J
 
 
+def _residual_floor(prob, P, R, rnorm, step, R1, r1):
+    """The map from t to a lower bound on the residual norm that
+    :func:`_try_step` computes for its trial sym(P - t step), built from
+    the residuals R at the symmetric P and R1 at the full step.
+
+    The residual is quadratic in P.  With S = sym(step), w = Gamma S h and
+    v = U w, g(P - t S) = g(P) - t v, and along the line
+
+        R(P - t S) = (1 - t) R + t R1 - t (1 - t) Q,    Q = w w' - v v',
+
+    exactly.  Its squared norm is a quadratic in t whose coefficients need
+    only rnorm, r1, <R, R1>, <R, Q>, <R1, Q> and ||Q||.  Two rounding
+    margins come off the model's norm.  The model's own: (2 n^2 + 32) eps
+    times the square of (1 - t) rnorm + t r1 + t (1 - t) (w'w + v'v),
+    which bounds the sum of the absolute terms of the squared norm.  The
+    direct evaluations': 64 (n + 1) eps times
+
+        B = p + |Gamma|^2 (p + p^2) + (|u| + |U| (|sigma| + |Gamma| p))^2,
+        p = |P| + |step|   (Frobenius norms),
+
+    which bounds the terms of the residual anywhere on the segment, so it
+    covers the rounding in R, in R1 and in the trial itself.
+    """
+    n = prob.n
+    # an overflow here only makes the floor NaN or -inf, which skips nothing
+    with np.errstate(all="ignore"):
+        w = prob.Gamma @ (0.5 * (step[:, 0] + step[0]))
+        v = prob.U @ w
+        Q = w[:, None] * w - v[:, None] * v
+        c01, q0, q1, qq, ww, vv = (
+            float(np.vdot(x, y))
+            for x, y in ((R, R1), (R, Q), (R1, Q), (Q, Q), (w, w), (v, v))
+        )
+        gamma, nP, nstep, nu, nU, nsigma = (
+            math.sqrt(float(np.vdot(x, x)))
+            for x in (prob.Gamma, P, step, prob.u, prob.U, prob.sigma)
+        )
+    r0 = float(rnorm)
+    r1 = float(r1)
+    m = ww + vv
+    model_eps = (2 * n * n + 32) * _EPS
+    p = nP + nstep
+    g = nu + nU * (nsigma + gamma * p)
+    margin = 64 * (n + 1) * _EPS * (p + gamma * gamma * (p + p * p) + g * g)
+
+    def floor(t: float) -> float:
+        a = 1.0 - t
+        c = t * a
+        q = (a * a * r0 * r0 + t * t * r1 * r1 + 2.0 * a * t * c01
+             + c * c * qq - 2.0 * c * (a * q0 + t * q1))
+        s = a * r0 + t * r1 + c * m
+        q -= model_eps * s * s
+        return math.sqrt(q) - margin if q > 0.0 else -math.inf
+
+    return floor
+
+
 def _try_step(prob, P, R, rnorm, step, tol):
-    """Backtracking on ||R||_F; returns (P, R, rnorm) or None."""
+    """Backtracking on ||R||_F over t = 1, 1/2, ... while t > 1e-10;
+    returns (P, R, rnorm) at the first trial with a sufficient decrease,
+    or None.  P is symmetric, as every iterate of :func:`_newton` is.
+
+    After a failed full step, :func:`_residual_floor` prices the
+    remaining trials from the residual's exact quadratic form along the
+    line: a trial whose floor already fails the test is skipped, every
+    other trial is evaluated directly and judged on that value alone, so
+    the result is the one evaluating every trial gives.
+    """
+    floor = None
     t = 1.0
     while t > 1e-10:
-        Pt = P - t * step
-        Pt = 0.5 * (Pt + Pt.T)
-        Rt = _residual_matrix(prob, Pt)
-        rt = np.linalg.norm(Rt, "fro")
-        if rt < rnorm * (1.0 - 1e-4 * t) or rt <= tol:
-            return Pt, Rt, rt
+        bar = rnorm * (1.0 - 1e-4 * t)
+        # written so that a NaN floor skips nothing
+        if floor is None or not floor(t) > max(bar, tol):
+            Pt = P - t * step
+            Pt = 0.5 * (Pt + Pt.T)
+            Rt = _residual_matrix(prob, Pt)
+            rt = np.linalg.norm(Rt, "fro")
+            if rt < bar or rt <= tol:
+                return Pt, Rt, rt
+            if floor is None:
+                floor = _residual_floor(prob, P, R, rnorm, step, Rt, rt)
         t *= 0.5
     return None
 

@@ -159,6 +159,157 @@ class TestNewtonJacobian:
                 assert np.max(np.abs(jd - fd)) <= 1e-5 * max(1.0, np.max(np.abs(jd)))
 
 
+def reference_try_step(prob, P, R, rnorm, step, tol):
+    """The line search evaluating every trial: backtracking on ||R||_F
+    over t = 1, 1/2, ... while t > 1e-10."""
+    t = 1.0
+    while t > 1e-10:
+        Pt = P - t * step
+        Pt = 0.5 * (Pt + Pt.T)
+        Rt = cee._residual_matrix(prob, Pt)
+        rt = np.linalg.norm(Rt, "fro")
+        if rt < rnorm * (1.0 - 1e-4 * t) or rt <= tol:
+            return Pt, Rt, rt
+        t *= 0.5
+    return None
+
+
+def newton_step(prob, P, R):
+    J = cee._newton_jacobian(prob, P, cee._stein_matrix(prob.Gamma))
+    return np.linalg.solve(J, R.ravel(order="F")).reshape(prob.n, prob.n, order="F")
+
+
+def corpus_slice(seed=20261020, per_degree=3):
+    """Criterion-02 style problems: n = 2..8, reflection coefficients in
+    (-0.95, 0.95)."""
+    rng = np.random.default_rng(seed)
+    return [problem_from_covariances(c, sigma)
+            for n in range(2, 9) for _ in range(per_degree)
+            for _, sigma, _, _, c in [forward_instance(rng, n, 0.95)]]
+
+
+class TestLineSearch:
+    # bound here, so that a test spying on cee._try_step still calls it
+    try_step = staticmethod(cee._try_step)
+
+    def assert_same(self, prob, P, R, rnorm, step, tol):
+        """_try_step returns byte-identical (P, R, rnorm) to the reference,
+        or None exactly when it does; returns the reference's outcome."""
+        ref = reference_try_step(prob, P, R, rnorm, step, tol)
+        got = self.try_step(prob, P, R, rnorm, step, tol)
+        if ref is None:
+            assert got is None
+        else:
+            assert got is not None
+            for x, y in zip(got, ref):
+                assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+        return ref
+
+    def test_quadratic_identity(self):
+        # R(P - t S) = (1 - t) R(P) + t R(P - S) - t (1 - t) (w w' - v v')
+        # with S = sym(step), w = Gamma S h, v = U w; the floor stays below
+        # every directly evaluated trial norm
+        rng = np.random.default_rng(41)
+        for n in range(1, 13):
+            for _ in range(5):
+                prob, P = random_newton_point(rng, n)
+                step = rng.standard_normal((n, n))
+                S = 0.5 * (step + step.T)
+                w = prob.Gamma @ S[:, 0]
+                v = prob.U @ w
+                Q = np.outer(w, w) - np.outer(v, v)
+                R0 = cee._residual_matrix(prob, P)
+                R1 = cee._residual_matrix(prob, P - S)
+                floor = cee._residual_floor(prob, P, R0, np.linalg.norm(R0),
+                                            step, R1, np.linalg.norm(R1))
+                scale = np.linalg.norm(R0) + np.linalg.norm(R1) + np.linalg.norm(Q)
+                for t in (2.0 ** -k for k in range(34)):
+                    Rt = cee._residual_matrix(prob, 0.5 * ((P - t * step)
+                                                           + (P - t * step).T))
+                    model = (1.0 - t) * R0 + t * R1 - t * (1.0 - t) * Q
+                    assert np.linalg.norm(Rt - model) <= 1e-12 * scale
+                    assert floor(t) <= np.linalg.norm(Rt)
+
+    def test_same_decisions_on_newton_steps(self, monkeypatch):
+        outcomes = {"accepted": 0, "failed": 0}
+
+        def spy(prob, P, R, rnorm, step, tol):
+            ref = self.assert_same(prob, P, R, rnorm, step, tol)
+            outcomes["accepted" if ref is not None else "failed"] += 1
+            return ref
+
+        monkeypatch.setattr(cee, "_try_step", spy)
+        for prob in corpus_slice():
+            solve_cee(prob)
+        # the slice reaches both outcomes, including searches that fail
+        assert outcomes["accepted"] > 100 and outcomes["failed"] > 0
+
+    def test_same_decisions_when_every_trial_fails(self):
+        # the reversed Newton step is an ascent direction: no trial down
+        # to t = 2^-33 decreases the residual enough
+        rng = np.random.default_rng(42)
+        for n in range(1, 13):
+            for _ in range(5):
+                prob, P = random_newton_point(rng, n)
+                R = cee._residual_matrix(prob, P)
+                rnorm = np.linalg.norm(R)
+                ref = self.assert_same(prob, P, R, rnorm,
+                                       -newton_step(prob, P, R), 1e-12)
+                assert ref is None
+                self.assert_same(prob, P, R, rnorm,
+                                 rng.standard_normal((n, n)), 1e-12)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    def test_same_decisions_near_convergence(self, tol):
+        rng = np.random.default_rng(43)
+        for prob in corpus_slice(seed=44, per_degree=2):
+            n = prob.n
+            Pstar = solve_cee(prob).P
+            for _ in range(3):
+                E = rng.standard_normal((n, n))
+                P = Pstar + 1e-11 * (E + E.T)
+                R = cee._residual_matrix(prob, P)
+                rnorm = np.linalg.norm(R)
+                assert 1e-12 < rnorm < 1e-8
+                for step in (newton_step(prob, P, R),
+                             -newton_step(prob, P, R),
+                             1e-10 * rng.standard_normal((n, n))):
+                    self.assert_same(prob, P, R, rnorm, step, tol)
+
+    def test_same_decisions_on_nonfinite_steps(self):
+        rng = np.random.default_rng(45)
+        prob, P = random_newton_point(rng, 4)
+        R = cee._residual_matrix(prob, P)
+        rnorm = np.linalg.norm(R)
+        for bad in (np.nan, np.inf, -np.inf):
+            step = newton_step(prob, P, R)
+            step[1, 2] = bad
+            with np.errstate(all="ignore"):
+                assert self.assert_same(prob, P, R, rnorm, step, 1e-12) is None
+        huge = 1e300 * rng.standard_normal((4, 4))
+        with np.errstate(all="ignore"):
+            self.assert_same(prob, P, R, rnorm, huge, 1e-12)
+
+    def test_fewer_residual_evaluations(self, monkeypatch):
+        # evaluating every trial costs about 5.7 residuals per Jacobian on
+        # this kind of data
+        counts = {"residual": 0, "jacobian": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(cee, "_residual_matrix",
+                            counted("residual", cee._residual_matrix))
+        monkeypatch.setattr(cee, "_newton_jacobian",
+                            counted("jacobian", cee._newton_jacobian))
+        for prob in corpus_slice():
+            solve_cee(prob)
+        assert counts["residual"] < 2.5 * counts["jacobian"]
+
+
 class TestSolve:
     def test_scalar_sigma_zero(self):
         sol = solve_cee(scalar_problem(0.5, 0.0))

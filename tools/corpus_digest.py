@@ -43,6 +43,13 @@ directory masked) and the bytes of every solution file written.  Two trees
 with the same cli digest write byte-identical solution files and print the
 same messages.
 
+Each section also prints a work line: how many residuals
+(``cee._residual_matrix``) it evaluated, how many Newton Jacobians
+(``cee._newton_jacobian``) it assembled, which counts every Newton
+iteration including those of failed continuation substeps, and how many
+line searches (``cee._try_step``) failed.  The counts come from wrapping
+those module functions here; the wrappers change no result.
+
 ``--details`` adds one line per grid point, per interpolation problem and
 per cli round trip, so the outputs of two trees can be compared with
 ``diff``.
@@ -68,7 +75,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from covext import cli  # noqa: E402
+from covext import cee, cli  # noqa: E402
 from covext.cee import (  # noqa: E402
     _GRID_EPS,
     SolveOptions,
@@ -105,6 +112,38 @@ CLI_SEED = 20261019
 CLI_COV_DEGREES = range(2, 7)
 CLI_NP_DEGREES = range(1, 4)
 CLI_PER_DEGREE = 10
+
+
+@contextlib.contextmanager
+def counted_work(section: str):
+    """Count residual evaluations, Jacobian assemblies and failed line
+    searches inside the block, then print them as the section's work line."""
+    counts = {"residuals": 0, "jacobians": 0, "failed line searches": 0}
+    originals = {name: getattr(cee, name) for name in
+                 ("_residual_matrix", "_newton_jacobian", "_try_step")}
+
+    def residual(*args):
+        counts["residuals"] += 1
+        return originals["_residual_matrix"](*args)
+
+    def jacobian(*args):
+        counts["jacobians"] += 1
+        return originals["_newton_jacobian"](*args)
+
+    def try_step(*args):
+        moved = originals["_try_step"](*args)
+        counts["failed line searches"] += moved is None
+        return moved
+
+    cee._residual_matrix = residual
+    cee._newton_jacobian = jacobian
+    cee._try_step = try_step
+    try:
+        yield
+    finally:
+        for name, fn in originals.items():
+            setattr(cee, name, fn)
+    print(f"{section} work  " + "  ".join(f"{k} {v}" for k, v in counts.items()))
 
 
 def forward_instance(rng, n, radius):
@@ -330,10 +369,14 @@ def corpus_section() -> None:
 
 def main() -> int:
     details = "--details" in sys.argv[1:]
-    corpus_section()
-    grid_section(details)
-    np_section(details)
-    cli_section(details)
+    with counted_work("corpus"):
+        corpus_section()
+    with counted_work("grid"):
+        grid_section(details)
+    with counted_work("np"):
+        np_section(details)
+    with counted_work("cli"):
+        cli_section(details)
     return 0
 
 
