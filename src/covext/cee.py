@@ -99,7 +99,12 @@ class CEEProblem:
 
 @dataclass(frozen=True, eq=False)
 class CEESolution:
-    """Solution bundle: P with h'Ph < 1, extracted (a, rho), derived b."""
+    """Solution bundle: P with h'Ph < 1, extracted (a, rho), derived b.
+
+    ``iterations`` is the fixed-point step count for method "fixed-point";
+    for "newton" it counts the Newton steps of accepted continuation
+    substeps and of the final polish, not those of failed substeps.
+    """
 
     P: np.ndarray
     a: np.ndarray
@@ -415,7 +420,13 @@ def _continuation(prob: CEEProblem, opts: SolveOptions) -> tuple[np.ndarray, int
     or leaves the positive semidefinite h'Ph < 1 branch: started far away,
     Newton can stall or land on one of the equation's other symmetric
     solutions, and tracking the branch from t = 0 removes both failure
-    modes.  A final polish runs on the problem itself at ``opts.tol``.
+    modes.  A trial that clips to t = 1 and fails is not run again while
+    the halved step still reaches t = 1: the problem, ``family(1.0)``, and
+    the secant start would be the same, and so would the failure; the step
+    keeps halving until it ends short of t = 1 or the ramp stalls.  A final
+    polish runs on the problem itself at ``opts.tol``.  The returned count
+    is the Newton iterations of accepted substeps and of the polish;
+    failed substeps are not counted.
     """
     family = _ramp_family(prob)
     # Gamma depends on sigma alone, which the ramp leaves fixed
@@ -446,6 +457,10 @@ def _continuation(prob: CEEProblem, opts: SolveOptions) -> tuple[np.ndarray, int
         except (SolverError, np.linalg.LinAlgError):
             # LinAlgError: I - (1 - t) U is singular at this t
             step *= 0.5
+            # a halved step that still reaches t = 1 would repeat the failed
+            # trial: the same problem from the same secant start
+            while t_next == 1.0 and t + step >= 1.0 and step >= 1e-9:
+                step *= 0.5
             if step < 1e-9:
                 raise SolverError(
                     f"continuation stalled at t = {t:.9f}"
@@ -495,7 +510,9 @@ def solve_cee(prob: CEEProblem, options: Optional[SolveOptions] = None) -> CEESo
     from P = 0 on the problem itself first, then, if that stalls or lands
     off the PSD branch, warm-started Newton solves along the data ramp of
     :func:`_ramp_family`.  That path reads only (sigma, u, U), whatever
-    the data source.  Method "fixed-point" runs the
+    the data source.  Its ``iterations`` count the Newton steps of the
+    accepted ramp substeps and of the final polish only; the steps of
+    failed substeps are not counted.  Method "fixed-point" runs the
     plain iteration from P = 0 alone; it has no global convergence
     guarantee: the solution can be a repelling fixed point of the
     iteration map, in which case the sweep trips the divergence guard or

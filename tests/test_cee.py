@@ -310,6 +310,101 @@ class TestLineSearch:
         assert counts["residual"] < 2.5 * counts["jacobian"]
 
 
+def reference_continuation(prob, opts):
+    """The continuation ramp re-running every trial: after a failed trial
+    it halves the step once and tries t + step, which repeats a failed
+    t = 1 trial while the halved step still reaches t = 1."""
+    family = cee._ramp_family(prob)
+    stein = cee._stein_matrix(prob.Gamma)
+    sub_tol = max(opts.tol, 1e-9)
+    P = np.zeros((prob.n, prob.n))
+    P_prev = None
+    t = 0.0
+    t_prev = 0.0
+    total = 0
+    step = 1.0
+    while t < 1.0:
+        t_next = min(1.0, t + step)
+        if P_prev is not None and t > t_prev:
+            start = P + (P - P_prev) * ((t_next - t) / (t - t_prev))
+        else:
+            start = P
+        try:
+            P_next, nits = cee._newton(
+                family(t_next), start, sub_tol, cee._RAMP_NEWTON_MAX_ITER, stein
+            )
+            if not cee._on_valid_branch(P_next):
+                raise SolverError("left the PSD h'Ph < 1 branch along the ramp")
+        except (SolverError, np.linalg.LinAlgError):
+            step *= 0.5
+            if step < 1e-9:
+                raise SolverError(
+                    f"continuation stalled at t = {t:.9f}"
+                ) from None
+            continue
+        total += nits
+        P_prev, t_prev = P, t
+        P, t = P_next, t_next
+        step = min(2.0 * step, 0.5)
+    P, nits = cee._newton(prob, P, opts.tol, cee._NEWTON_MAX_ITER, stein)
+    total += nits
+    if not cee._on_valid_branch(P):
+        raise SolverError("continuation ended off the PSD h'Ph < 1 branch")
+    return P, total
+
+
+def known_stall():
+    """Request 111 of the benchmark's corpus pool at seed 44: the 112th
+    draw from rng [44, 2], n = 8, which stalls close to t = 1."""
+    rng = np.random.default_rng([44, 2])
+    for k in range(112):
+        _, sigma, _, _, c = forward_instance(rng, 2 + k % 7, 0.95)
+    return problem_from_covariances(c, sigma)
+
+
+def ramp_outcome(continuation, prob):
+    """(P bytes, iterations), or the error text of a failed solve."""
+    try:
+        P, its = continuation(prob, SolveOptions())
+    except SolverError as exc:
+        return str(exc)
+    return P.tobytes(), its
+
+
+class TestContinuation:
+    def test_same_results_as_reference(self):
+        # P bytes and iteration counts, or the error text of a stall
+        for prob in corpus_slice() + [known_stall()]:
+            got = ramp_outcome(cee._continuation, prob)
+            assert got == ramp_outcome(reference_continuation, prob)
+        assert got == "continuation stalled at t = 0.999625849"
+
+    def test_no_newton_run_repeats(self, monkeypatch):
+        # a call with the same problem object, start bytes, tolerance and
+        # budget as the call before it repeats a deterministic computation
+        calls = []
+        newton = cee._newton
+
+        def spy(prob, P0, tol, max_iter, stein):
+            calls.append((prob, P0.tobytes(), tol, max_iter))
+            return newton(prob, P0, tol, max_iter, stein)
+
+        monkeypatch.setattr(cee, "_newton", spy)
+
+        def repeats(continuation):
+            count = 0
+            for prob in corpus_slice() + [known_stall()]:
+                calls.clear()
+                ramp_outcome(continuation, prob)
+                count += sum(a[0] is b[0] and a[1:] == b[1:]
+                             for a, b in zip(calls, calls[1:]))
+            return count
+
+        # the problems reach the case: re-running every trial repeats some
+        assert repeats(reference_continuation) > 0
+        assert repeats(cee._continuation) == 0
+
+
 class TestSolve:
     def test_scalar_sigma_zero(self):
         sol = solve_cee(scalar_problem(0.5, 0.0))

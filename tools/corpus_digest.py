@@ -2,7 +2,8 @@
 digest and an outcome report.
 
 Four sections: the criterion-02 corpus, the positive-degree grids, the
-interpolation set and the command-line round trips.
+interpolation set and the command-line round trips.  A fifth, the large-n
+instances, runs on its own with ``--large-n``.
 
 The corpus is the acceptance suite's round-trip recipe: seed 20260808,
 100 instances for each n in 2..8, reflection coefficients of a and sigma
@@ -46,17 +47,28 @@ same messages.
 Each section also prints a work line: how many residuals
 (``cee._residual_matrix``) it evaluated, how many Newton Jacobians
 (``cee._newton_jacobian``) it assembled, which counts every Newton
-iteration including those of failed continuation substeps, and how many
-line searches (``cee._try_step``) failed.  The counts come from wrapping
-those module functions here; the wrappers change no result.
+iteration including those of failed continuation substeps, how many
+line searches (``cee._try_step``) failed, how many continuation ramp
+trials ran and how many of them failed, and how many Jacobians the failed
+trials assembled; failed trials at t = 1, on the problem itself, are also
+counted on their own.  The counts come from wrapping those module
+functions, ``cee._continuation``, ``cee._ramp_family`` and ``cee._newton``
+here; the wrappers change no result.
 
 ``--details`` adds one line per grid point, per interpolation problem and
 per cli round trip, so the outputs of two trees can be compared with
 ``diff``.
 
+``--large-n`` runs only the large-n section instead: one round of the
+benchmark's ``large_n`` workload (n in {12, 16, 20}, r in {0.5, 0.8,
+0.95}) for each of the seeds 1-3, 27 solves with default options.  It
+prints one line per instance (the outcome with its iteration count and
+|a err|, or the error text), a sha256 over P bytes, method, iterations and
+error texts, the elapsed time and the work line.
+
 Run from any directory; the covext sources next to this script are used:
 
-    python3 tools/corpus_digest.py [--details]
+    python3 tools/corpus_digest.py [--details | --large-n]
 """
 
 from __future__ import annotations
@@ -112,15 +124,25 @@ CLI_SEED = 20261019
 CLI_COV_DEGREES = range(2, 7)
 CLI_NP_DEGREES = range(1, 4)
 CLI_PER_DEGREE = 10
+LARGE_N_SEEDS = range(1, 4)
+# the benchmark's large_n strata (perfbench/workloads.py), one round per seed
+LARGE_N_STRATA = tuple((n, r) for r in (0.5, 0.8, 0.95) for n in (12, 16, 20))
 
 
 @contextlib.contextmanager
 def counted_work(section: str):
-    """Count residual evaluations, Jacobian assemblies and failed line
-    searches inside the block, then print them as the section's work line."""
-    counts = {"residuals": 0, "jacobians": 0, "failed line searches": 0}
+    """Count residual evaluations, Jacobian assemblies, failed line searches
+    and continuation ramp trials inside the block, then print them as the
+    section's work line."""
+    counts = {"residuals": 0, "jacobians": 0, "failed line searches": 0,
+              "ramp trials": 0, "failed trials": 0, "failed trials at t=1": 0,
+              "jacobians of failed trials": 0,
+              "jacobians of failed trials at t=1": 0}
     originals = {name: getattr(cee, name) for name in
-                 ("_residual_matrix", "_newton_jacobian", "_try_step")}
+                 ("_residual_matrix", "_newton_jacobian", "_try_step",
+                  "_continuation", "_ramp_family", "_newton")}
+    trials = []  # the current solve's ramp trials as (t, jacobians at start)
+    newton_start = 0  # jacobians at the start of the latest Newton run
 
     def residual(*args):
         counts["residuals"] += 1
@@ -135,9 +157,52 @@ def counted_work(section: str):
         counts["failed line searches"] += moved is None
         return moved
 
+    def newton(*args):
+        nonlocal newton_start
+        newton_start = counts["jacobians"]
+        return originals["_newton"](*args)
+
+    def ramp_family(*args):
+        family = originals["_ramp_family"](*args)
+
+        def trial(t):
+            # the ramp builds its problem once per trial
+            trials.append((t, counts["jacobians"]))
+            return family(t)
+
+        return trial
+
+    def tally(stalled):
+        """An accepted trial moves the ramp forward, so a trial failed when
+        the next one does not go beyond it; the last trial failed when the
+        ramp stalled, and otherwise the final polish follows it."""
+        last = (-np.inf, counts["jacobians"]) if stalled else (np.inf, newton_start)
+        for (t, start), (t_after, end) in zip(trials, trials[1:] + [last]):
+            counts["ramp trials"] += 1
+            if t_after <= t:
+                counts["failed trials"] += 1
+                counts["jacobians of failed trials"] += end - start
+                if t == 1.0:
+                    counts["failed trials at t=1"] += 1
+                    counts["jacobians of failed trials at t=1"] += end - start
+        trials.clear()
+
+    def continuation(*args):
+        stalled = False
+        try:
+            return originals["_continuation"](*args)
+        except SolverError as exc:
+            stalled = str(exc).startswith("continuation stalled")
+            raise
+        finally:
+            tally(stalled)
+
     cee._residual_matrix = residual
     cee._newton_jacobian = jacobian
     cee._try_step = try_step
+    cee._newton = newton
+    cee._ramp_family = ramp_family
+    cee._continuation = continuation
     try:
         yield
     finally:
@@ -367,7 +432,44 @@ def corpus_section() -> None:
         print(f"method {method}  solves {solves}  iterations {iterations}")
 
 
+def large_n_problems():
+    """(seed, n, r, a, problem): one round of the benchmark's ``large_n``
+    workload for each seed, drawn from ``default_rng([seed, 3])``."""
+    for seed in LARGE_N_SEEDS:
+        rng = np.random.default_rng([seed, 3])
+        for n, r in LARGE_N_STRATA:
+            a, sigma, _, _, c = forward_instance(rng, n, r)
+            yield seed, n, r, a, problem_from_covariances(c, sigma)
+
+
+def large_n_section() -> None:
+    digest = hashlib.sha256()
+    failures = 0
+    t0 = time.perf_counter()
+    for seed, n, r, a, prob in large_n_problems():
+        try:
+            sol = solve_cee(prob)
+        except Exception as exc:  # noqa: BLE001 - a failure is part of the digest
+            outcome = f"error {type(exc).__name__}: {exc}"
+            failures += 1
+            digest.update(f"{outcome}\n".encode())
+        else:
+            digest.update(sol.P.tobytes())
+            digest.update(f"{sol.method} {sol.iterations}\n".encode())
+            outcome = (f"ok iterations {sol.iterations}  "
+                       f"|a err| {np.max(np.abs(sol.a - a.coeffs)):.3e}")
+        print(f"large_n seed {seed} n={n} r={r}  {outcome}")
+    elapsed = time.perf_counter() - t0
+    print(f"large_n instances {len(LARGE_N_SEEDS) * len(LARGE_N_STRATA)}  "
+          f"failures {failures}  elapsed {elapsed:.2f} s")
+    print(f"large_n sha256 {digest.hexdigest()}")
+
+
 def main() -> int:
+    if "--large-n" in sys.argv[1:]:
+        with counted_work("large_n"):
+            large_n_section()
+        return 0
     details = "--details" in sys.argv[1:]
     with counted_work("corpus"):
         corpus_section()
