@@ -1,7 +1,9 @@
 """File formats: JSON problem/solution documents and CSV series/spectra.
 
 JSON documents are validated against the schemas shipped in
-``covext/schemas`` before any computation.  Complex numbers are stored as
+``covext/schemas`` before any computation: a check compiled once per schema
+accepts the valid ones, and jsonschema judges the rest and words the
+error.  Complex numbers are stored as
 [re, im] pairs (JSON has no complex type); matrices are stored flattened
 row-major next to their dimension.  CSV files are comma-separated with
 '.' decimals and LF line endings; a single header row is optional on
@@ -41,20 +43,130 @@ def _load_json(path) -> dict:
         raise DataError(f"{path} is not valid JSON: {exc}") from exc
 
 
+class _Foreign(Exception):
+    """A value of a type json.load does not produce reached a check."""
+
+
+_JSON_TYPES = frozenset({dict, list, str, int, float, bool, type(None)})
+
+
+def _json_type(x) -> type:
+    t = type(x)
+    if t not in _JSON_TYPES:
+        raise _Foreign
+    return t
+
+
+# draft 2020-12 on plain JSON: bool is no number, an integral float is an integer
+_TYPES = {
+    "object": lambda x: _json_type(x) is dict,
+    "array": lambda x: _json_type(x) is list,
+    "string": lambda x: _json_type(x) is str,
+    "boolean": lambda x: _json_type(x) is bool,
+    "number": lambda x: _json_type(x) in (int, float),
+    "integer": lambda x: (t := _json_type(x)) is int or (t is float and x.is_integer()),
+}
+
+
+def _keyword_check(key: str, value, node: dict, sub):
+    """The check of one schema keyword, which passes wherever draft 2020-12
+    does not apply the keyword (``required`` on a list, say)."""
+    if key == "type":
+        if type(value) is not str or value not in _TYPES:
+            raise ValueError(f"compiled type takes one type name: {value!r}")
+        return _TYPES[value]
+    if key == "required":
+        return lambda x: _json_type(x) is not dict or all(k in x for k in value)
+    if key == "properties":
+        props = [(k, sub(s)) for k, s in value.items()]
+        return lambda x: (_json_type(x) is not dict
+                          or all(k not in x or check(x[k]) for k, check in props))
+    if key == "items":
+        item = sub(value)
+        return lambda x: _json_type(x) is not list or all(map(item, x))
+    if key == "minItems":
+        return lambda x: _json_type(x) is not list or len(x) >= value
+    if key == "maxItems":
+        return lambda x: _json_type(x) is not list or len(x) <= value
+    # jsonschema fails x < m and x <= m, so NaN passes both
+    if key == "minimum":
+        return lambda x: _json_type(x) not in (int, float) or not x < value
+    if key == "exclusiveMinimum":
+        return lambda x: _json_type(x) not in (int, float) or not x <= value
+    if key in ("enum", "const"):
+        allowed = value if key == "enum" else [value]
+        if not all(type(v) is str for v in allowed):
+            raise ValueError(f"compiled {key} takes strings only: {value!r}")
+        allowed = frozenset(allowed)
+        return lambda x: _json_type(x) is str and x in allowed
+    if key == "allOf":
+        checks = [sub(s) for s in value]
+        return lambda x: all(check(x) for check in checks)
+    if key == "oneOf":
+        checks = [sub(s) for s in value]
+        return lambda x: sum(check(x) for check in checks) == 1
+    if key == "if":
+        if_, then = sub(value), sub(node.get("then", {}))
+        return lambda x: not if_(x) or then(x)
+    raise ValueError(f"cannot compile schema keyword {key!r}")
+
+
+_ANNOTATIONS = frozenset({"title", "description"})
+
+
+def _compile_schema(schema: dict):
+    """An exact acceptance predicate for ``schema``: True only for a
+    document that draft 2020-12 accepts, and on plain JSON (dict, list,
+    str, int, float, bool, None) exactly then.  A document holding any
+    other type where a keyword looks is not accepted.  Only the keywords of
+    :func:`_keyword_check`, ``$ref`` to ``#/$defs/...`` and annotations
+    compile; any other keyword raises ValueError here."""
+    defs = schema.get("$defs", {})
+
+    def sub(node):
+        if type(node) is not dict:
+            raise ValueError(f"cannot compile schema {node!r}")
+        checks = []
+        for key, value in node.items():
+            if key == "$ref":
+                if not value.startswith("#/$defs/"):
+                    raise ValueError(f"cannot compile $ref {value!r}")
+                checks.append(sub(defs[value[len("#/$defs/"):]]))
+            elif key not in _ANNOTATIONS and key != "then":  # "if" reads "then"
+                checks.append(_keyword_check(key, value, node, sub))
+        if len(checks) == 1:
+            return checks[0]
+        return lambda x: all(check(x) for check in checks)
+
+    check = sub({k: v for k, v in schema.items() if k not in ("$schema", "$id", "$defs")})
+
+    def accepts(doc) -> bool:
+        try:
+            return check(doc)
+        except _Foreign:
+            return False
+
+    return accepts
+
+
 @lru_cache(maxsize=None)
 def _validator(schema_name: str):
-    """The validator of a shipped schema, built on first use and kept for
-    the process.  Building it checks the schema against its metaschema
-    (``jsonschema.SchemaError`` if that fails), once per schema."""
+    """(validator, accepts) of a shipped schema, built on first use and kept
+    for the process.  Building them checks the schema against its
+    metaschema (``jsonschema.SchemaError`` if that fails), once per schema,
+    then compiles ``accepts`` (see :func:`_compile_schema`)."""
     schema = _schema(schema_name)
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
-    return cls(schema)
+    return cls(schema), _compile_schema(schema)
 
 
 def _validate(doc: dict, schema_name: str, path) -> None:
+    validator, accepts = _validator(schema_name)
+    if accepts(doc):
+        return
     # best_match picks the same error that jsonschema.validate would raise
-    error = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(doc))
+    error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
     if error is not None:
         raise DataError(f"{path} violates {schema_name}: {error.message}") from error
 

@@ -14,6 +14,7 @@ numerator b through
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -283,6 +284,15 @@ def monic_numerator(
     return SchurPolynomial(b_full[1:] / b_full[0], check=False)
 
 
+@lru_cache(maxsize=16)
+def _circle_grid(samples: int) -> np.ndarray:
+    """exp(i theta) on ``samples`` uniform angles of [0, 2 pi), read-only;
+    the same bytes as computing it afresh."""
+    z = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False))
+    z.setflags(write=False)
+    return z
+
+
 def positive_real_min(f: RationalPR, samples: int = 4096) -> float:
     """Minimum of Re f(e^{i theta}) over a uniform grid of the circle.
 
@@ -293,8 +303,7 @@ def positive_real_min(f: RationalPR, samples: int = 4096) -> float:
     n = f.degree
     if samples < 2 * n + 1:
         raise DataError(f"need at least {2 * n + 1} samples for degree {n}")
-    theta = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    z = np.exp(1j * theta)
+    z = _circle_grid(samples)
     av = np.polyval(f.a.full, z)
     scale = max(1.0, float(np.max(np.abs(f.a.full))))
     if np.min(np.abs(av)) < 1e-12 * scale:

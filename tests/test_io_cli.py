@@ -1,25 +1,38 @@
 import dataclasses
 import json
+import math
+from functools import lru_cache
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import covext.cli
 import covext.io
 from covext.cli import build_parser, main
+from covext.covdata import CovarianceSequence
 from covext.errors import DataError
 from covext.io import (
+    CovarianceProblem,
+    InterpolationProblem,
+    covariance_problem_doc,
     dump_solution,
+    interpolation_problem_doc,
     load_problem,
     load_solution,
     read_series_csv,
+    solution_doc,
 )
+from covext.nevpick import InterpolationData
 from covext.pipeline import (
     run_extend,
+    run_nevpick,
     spectrum_rows,
     verification_report,
 )
+from covext.polyalg import SchurPolynomial
 
 
 def write_json(path, doc):
@@ -185,6 +198,184 @@ class TestSchemaValidation:
             covext.io._validator("problem.schema.json")
         with pytest.raises(jsonschema.SchemaError):
             load_problem(cov_problem_n1)
+
+
+@lru_cache(maxsize=None)
+def _written_docs():
+    """Valid documents from covext's own writers, as (schema name, JSON
+    text): problems of both kinds and the solutions of both pipelines."""
+    cov = CovarianceProblem(c=CovarianceSequence.from_raw([2.0, 1.0, 0.5]),
+                            sigma=SchurPolynomial([0.0, 0.0]))
+    interp = InterpolationProblem(
+        data=InterpolationData(nodes=[2.0, 3.0], values=[5.0 / 6.0, 0.7]),
+        sigma=SchurPolynomial([0.0]))
+    docs = [
+        ("problem.schema.json", covariance_problem_doc(
+            [2.0, 1.0, 0.5], [0.0, 0.0], diagnostics={"lambda_min": 0.5},
+            options={"tol": 1e-10})),
+        ("problem.schema.json", interpolation_problem_doc(
+            [2 + 1j, 2 - 1j, -3.0], [1 + 0.5j, 1 - 0.5j, 0.7], [0.1, 0.0])),
+        ("solution.schema.json", solution_doc(run_extend(cov)[0])),
+        ("solution.schema.json", solution_doc(run_nevpick(interp)[0])),
+    ]
+    return [(name, json.dumps(doc)) for name, doc in docs]
+
+
+_LEAVES = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.integers(-3, 8),
+    st.sampled_from([3.0, 0.0, -0.0, -1e-300, -2.5, math.nan, math.inf, -math.inf]),
+    st.floats(),
+    st.sampled_from(["covariance", "interpolation", "spectrum", "newton", ""]),
+)
+_KEYS = st.sampled_from(["a", "c", "n", "rho", "kind", "nodes", "values", "sigma",
+                         "rank", "residual", "covariance_match", "interp_residual",
+                         "provenance", "tol", "extra"])
+
+
+def _values(leaves):
+    pairs = st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3)
+    return st.one_of(leaves, st.lists(leaves, max_size=3), st.lists(pairs, max_size=3),
+                     st.dictionaries(_KEYS, leaves, max_size=2))
+
+
+# values json.load never produces: jsonschema takes np.float64 and np.int64
+# for numbers (np.int64 for no integer) and a tuple for no array
+_FOREIGN = st.one_of(
+    st.floats(allow_nan=False).map(np.float64),
+    st.integers(-3, 8).map(np.int64),
+    st.lists(st.floats(-3.0, 3.0), max_size=3).map(tuple),
+)
+
+
+def _mutated(data, values):
+    """A written document with one to three random edits: a member or
+    element replaced, deleted or added, anywhere in the document."""
+    name, text = data.draw(st.sampled_from(_written_docs()))
+    doc = json.loads(text)
+    for _ in range(data.draw(st.integers(1, 3))):
+        node = doc
+        while True:
+            keys = list(node) if type(node) is dict else list(range(len(node)))
+            inner = [k for k in keys if type(node[k]) in (dict, list)]
+            if not inner or not data.draw(st.booleans()):
+                break
+            node = node[data.draw(st.sampled_from(inner))]
+        op = data.draw(st.sampled_from(["set", "drop", "add"]))
+        if op != "add" and keys:
+            key = data.draw(st.sampled_from(keys))
+            if op == "set":
+                node[key] = data.draw(values)
+            else:
+                del node[key]
+        elif type(node) is dict:
+            node[data.draw(_KEYS)] = data.draw(values)
+        else:
+            node.append(data.draw(values))
+    return name, doc
+
+
+class TestCompiledCheck:
+    """The acceptance predicate compiled from each shipped schema agrees
+    with jsonschema on plain JSON and accepts nothing jsonschema rejects."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_jsonschema_on_plain_json(self, data):
+        name, doc = _mutated(data, _values(_LEAVES))
+        validator, accepts = covext.io._validator(name)
+        assert accepts(doc) == validator.is_valid(doc)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.data())
+    def test_sound_on_other_types(self, data):
+        name, doc = _mutated(data, _values(st.one_of(_LEAVES, _FOREIGN)))
+        validator, accepts = covext.io._validator(name)
+        assert accepts(doc) <= validator.is_valid(doc)
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.pop("rho"),
+        lambda d: d.update(rho=True),
+        lambda d: d.update(n=3.0),
+        lambda d: d.update(rank=2.0),
+        lambda d: d.update(n=2.5),
+        lambda d: d.update(rho=math.nan),
+        lambda d: d.update(residual=math.nan),
+        lambda d: d.update(rho=math.inf),
+        lambda d: d.update(residual=-math.inf),
+        lambda d: d.update(rho=0.0),
+        lambda d: d.update(rank=-1),
+        lambda d: d.update(residual=-1e-300),
+        lambda d: d.update(interp_residual=0.0),
+        lambda d: d.pop("covariance_match"),
+        lambda d: d["provenance"].update(kind="spectrum"),
+        lambda d: d.update(extra={"any": [1, "x"]}),
+    ])
+    def test_solution_edits(self, edit):
+        doc = json.loads(_written_docs()[2][1])
+        edit(doc)
+        validator, accepts = covext.io._validator("solution.schema.json")
+        assert accepts(doc) == validator.is_valid(doc)
+
+    @pytest.mark.parametrize("edit, valid", [
+        (lambda d: d.update(rank=np.int64(2)), False),  # not an int to jsonschema
+        (lambda d: d.update(rho=np.float64(0.5)), True),
+        (lambda d: d.update(P=tuple(d["P"])), False),
+    ])
+    def test_other_types_go_to_jsonschema(self, edit, valid):
+        doc = json.loads(_written_docs()[2][1])
+        edit(doc)
+        validator, accepts = covext.io._validator("solution.schema.json")
+        assert not accepts(doc)
+        assert validator.is_valid(doc) == valid
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.pop("sigma"),
+        lambda d: d.pop("values"),
+        lambda d: d.update(kind="spectrum"),
+        lambda d: d.update(sigma=[True]),
+        lambda d: d.update(sigma=[math.nan, -math.inf]),
+        lambda d: d["nodes"].__setitem__(0, [2.0]),
+        lambda d: d["nodes"].__setitem__(0, [2.0, 1.0, 0.0]),
+        lambda d: d.update(c=[1.0, 0.5]),
+        lambda d: d.update(extra=None),
+    ])
+    def test_problem_edits(self, edit):
+        doc = json.loads(_written_docs()[1][1])
+        edit(doc)
+        validator, accepts = covext.io._validator("problem.schema.json")
+        assert accepts(doc) == validator.is_valid(doc)
+
+    def test_unsupported_keyword_raises(self, monkeypatch, fresh_validators):
+        schema = {"$schema": "https://json-schema.org/draft/2020-12/schema",
+                  "type": "object",
+                  "properties": {"kind": {"type": "string", "pattern": "^c"}}}
+        monkeypatch.setattr(covext.io, "_schema", lambda name: schema)
+        with pytest.raises(ValueError, match="'pattern'"):
+            covext.io._validator("problem.schema.json")
+
+    def test_cli_roundtrip_documents_accepted(self, cov_problem_geo, np_problem,
+                                              tmp_path, monkeypatch):
+        built = covext.io._validator
+        verdicts = []
+
+        def spy(name):
+            validator, accepts = built(name)
+
+            def recorded(doc):
+                verdicts.append(accepts(doc))
+                return verdicts[-1]
+
+            return validator, recorded
+
+        monkeypatch.setattr(covext.io, "_validator", spy)
+        for command, problem in (("extend", cov_problem_geo), ("nevpick", np_problem)):
+            out = tmp_path / f"{command}.json"
+            assert main([command, str(problem), "--out", str(out)]) == 0
+            assert main(["verify", str(out), str(problem)]) == 0
+        # each command reads or writes a problem and a solution
+        assert verdicts == [True] * 8
 
 
 class TestExtendCommand:

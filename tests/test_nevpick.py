@@ -53,6 +53,25 @@ def conjugate_closed_nodes(rng, count):
     return np.array(nodes, dtype=complex)
 
 
+# an n = 6 instance of the seeded interpolation set of
+# tools/corpus_digest.py (problems #867 and #868 there), drawn by that
+# tool's recipe with reflection coefficients in (-0.95, 0.95)
+ILL_CONDITIONED_CLOSED = InterpolationData(
+    nodes=[1.7237516053872612 + 2.1893512643513806j,
+           1.7237516053872612 - 2.1893512643513806j,
+           2.2432389232195864 + 0.4680318601058318j,
+           2.2432389232195864 - 0.4680318601058318j,
+           2.722031819108565 + 0.7120170607460964j,
+           2.722031819108565 - 0.7120170607460964j,
+           3.334031704538959],
+    values=[0.6350954855437468 - 0.4078215367911032j,
+            0.6350954855437468 + 0.4078215367911032j,
+            1.1975471094091195 - 0.262282094164959j,
+            1.1975471094091195 + 0.262282094164959j,
+            0.9911541355400787 - 0.2029129671181648j,
+            0.9911541355400787 + 0.2029129671181648j,
+            0.9243098540554214])
+
 WORKED_NODES = np.array([2.0, 3.0], dtype=complex)
 WORKED_VALUES = np.array([5.0 / 6.0, 0.7], dtype=complex)
 
@@ -132,6 +151,28 @@ class TestBuildT:
         with pytest.raises(DataError, match="conjugation"):
             build_T(d)
 
+    def test_ill_conditioned_conjugate_closed_accepted(self):
+        # exactly conjugate-closed, cond(V) ~ 1e6: the imaginary residue of
+        # V^{-1} C V is 2.5e-12, above the 1e-12 floor but within roundoff
+        d = ILL_CONDITIONED_CLOSED
+        W = np.linalg.solve(build_vandermonde(d.nodes), np.diag(d.values)
+                            @ build_vandermonde(d.nodes))
+        assert np.max(np.abs(W.imag)) > 1e-12
+        for paper_factor in (False, True):
+            T = build_T(d, paper_factor=paper_factor)
+            assert T.dtype == np.float64 and T.shape == (7, 7)
+
+    @pytest.mark.parametrize("data", [
+        ILL_CONDITIONED_CLOSED,
+        forward_np_instance(np.random.default_rng(5), 4)[4],
+    ])
+    def test_moved_imaginary_part_rejected(self, data):
+        build_T(data)
+        values = data.values.copy()
+        values[0] += 1e-6j
+        with pytest.raises(DataError, match="conjugation"):
+            build_T(InterpolationData(nodes=data.nodes, values=values))
+
 
 class TestBuildUU:
     def test_zero_T(self):
@@ -154,7 +195,7 @@ class TestBuildUU:
         for _ in range(10):
             n = int(rng.integers(1, 6))
             _, _, _, _, data = forward_np_instance(rng, n)
-            T = build_T(data)  # raises if imaginary residue > 1e-12
+            T = build_T(data)  # raises if the imaginary residue exceeds roundoff
             params = build_uU_np(T)
             assert params.u.dtype == np.float64
             assert params.U.dtype == np.float64

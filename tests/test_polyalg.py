@@ -192,6 +192,19 @@ class TestPositiveRealMin:
         with pytest.raises(DataError):
             positive_real_min(f, 2)
 
+    @pytest.mark.parametrize("samples", [7, 64, 512, 1000, 4096, 8191])
+    def test_cached_grid_bit_identical(self, samples):
+        # 4096 is the --samples default of the cli's solve and verify commands
+        rng = np.random.default_rng(samples)
+        for n in (1, 3):
+            a, sigma = random_schur(rng, n), random_schur(rng, n)
+            f = RationalPR(a, monic_numerator(a, sigma, unit_variance_rho(a, sigma)))
+            z = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False))
+            fresh = float(np.min(
+                (np.polyval(f.b.full, z) / (2.0 * np.polyval(f.a.full, z))).real))
+            for _ in range(2):  # the first call fills the cache, the second reads it
+                assert positive_real_min(f, samples) == fresh
+
 
 class TestSpectralDensity:
     def test_white_filter(self):

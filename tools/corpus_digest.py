@@ -55,6 +55,12 @@ counted on their own.  The counts come from wrapping those module
 functions, ``cee._continuation``, ``cee._ramp_family`` and ``cee._newton``
 here; the wrappers change no result.
 
+The cli section also prints a validation line: how many documents
+(problems and solutions, read or written) were validated, how many the
+compiled acceptance check passed, how many went on to jsonschema, and how
+many of those jsonschema found valid, which should be none.  The counts
+come from wrapping ``covext.io._validator`` here.
+
 ``--details`` adds one line per grid point, per interpolation problem and
 per cli round trip, so the outputs of two trees can be compared with
 ``diff``.
@@ -87,6 +93,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
+import covext.io  # noqa: E402
 from covext import cee, cli  # noqa: E402
 from covext.cee import (  # noqa: E402
     _GRID_EPS,
@@ -209,6 +216,36 @@ def counted_work(section: str):
         for name, fn in originals.items():
             setattr(cee, name, fn)
     print(f"{section} work  " + "  ".join(f"{k} {v}" for k, v in counts.items()))
+
+
+@contextlib.contextmanager
+def counted_validation(section: str):
+    """Count the documents validated inside the block, those the compiled
+    check accepted and those sent on to jsonschema, then print them."""
+    counts = {"documents": 0, "compiled accepts": 0, "to jsonschema": 0,
+              "valid at jsonschema": 0}
+    original = covext.io._validator
+
+    def validator(schema_name):
+        jsonschema_validator, accepts = original(schema_name)
+
+        def counted(doc):
+            accepted = accepts(doc)
+            counts["documents"] += 1
+            counts["compiled accepts"] += accepted
+            if not accepted:
+                counts["to jsonschema"] += 1
+                counts["valid at jsonschema"] += jsonschema_validator.is_valid(doc)
+            return accepted
+
+        return jsonschema_validator, counted
+
+    covext.io._validator = validator
+    try:
+        yield
+    finally:
+        covext.io._validator = original
+    print(f"{section} validation  " + "  ".join(f"{k} {v}" for k, v in counts.items()))
 
 
 def forward_instance(rng, n, radius):
@@ -477,7 +514,7 @@ def main() -> int:
         grid_section(details)
     with counted_work("np"):
         np_section(details)
-    with counted_work("cli"):
+    with counted_work("cli"), counted_validation("cli"):
         cli_section(details)
     return 0
 
