@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
 from .covdata import CovarianceSequence, CovParams, build_cov_params
 from .errors import DataError, InvalidBranchError, SolverError
@@ -37,6 +38,9 @@ _RAMP_NEWTON_MAX_ITER = 25
 # margin from +-1 of the positive-degree grid's reflection coefficients
 _GRID_EPS = 0.05
 _EPS = float(np.finfo(float).eps)
+# the first-column form needs K, rows of (I - Gamma (x) Gamma)^{-1}, to
+# about four correct digits: cond eps <= 1e-4
+_FIRST_COLUMN_MAX_COND = 1e-4 / _EPS
 
 
 def companion(vec) -> np.ndarray:
@@ -86,6 +90,19 @@ class CEEProblem:
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "Gamma", Gamma)
 
+    def _with_parameters(self, u: np.ndarray, U: np.ndarray) -> "CEEProblem":
+        """This problem's sigma and Gamma with new (u, U) of the same shapes,
+        without re-running the Schur test and ``companion(sigma)``."""
+        other = object.__new__(CEEProblem)
+        u = u.copy()
+        U = U.copy()
+        for arr in (u, U):
+            arr.setflags(write=False)
+        for name, value in (("sigma", self.sigma), ("u", u), ("U", U),
+                            ("Gamma", self.Gamma)):
+            object.__setattr__(other, name, value)
+        return other
+
     @property
     def n(self) -> int:
         return self.sigma.size
@@ -101,9 +118,12 @@ class CEEProblem:
 class CEESolution:
     """Solution bundle: P with h'Ph < 1, extracted (a, rho), derived b.
 
-    ``iterations`` is the fixed-point step count for method "fixed-point";
-    for "newton" it counts the Newton steps of accepted continuation
-    substeps and of the final polish, not those of failed substeps.
+    ``iterations`` is the fixed-point step count for method "fixed-point".
+    For "newton" it counts the n x n first-column Newton steps and the
+    full-space Newton steps of accepted continuation substeps, the
+    refinement step and the final polish's steps, not those of failed
+    substeps; after a fallback to the full-space ramp it is that ramp's
+    count of accepted-substep and polish Newton steps.
     """
 
     P: np.ndarray
@@ -126,10 +146,10 @@ class SolveOptions:
     """Solver controls.
 
     method "auto" (the default) and "newton" name the same path: one
-    continuation in the data parameters whose first trial step is plain
-    damped Newton from P = 0 on the problem itself; the step halves while a
-    trial stalls or lands off the PSD h'Ph < 1 branch.  "fixed-point" runs
-    the paper's plain iteration from P = 0 alone, with a budget of
+    continuation in the data parameters whose first trial step is Newton
+    from P = 0 on the problem itself; the step halves while a trial stalls
+    or lands off the PSD h'Ph < 1 branch (see :func:`solve_cee`).
+    "fixed-point" runs the paper's plain iteration from P = 0 alone, with a budget of
     ``max_iter`` steps; ``divergence_guard`` aborts that sweep once
     h'Ph >= 1 after the first ``_GRACE`` steps, appropriate when the data
     is known to be a positive covariance sequence.  ``max_iter`` and
@@ -404,33 +424,33 @@ def _ramp_family(prob: CEEProblem):
         if t == 1.0:
             return prob
         S = t * np.linalg.solve(np.eye(n) - (1.0 - t) * prob.U, uU)
-        return CEEProblem(sigma=prob.sigma, u=S[:, 0], U=S[:, 1:])
+        # sigma, and with it Gamma, is the same all along the ramp
+        return prob._with_parameters(S[:, 0], S[:, 1:])
 
     return family
 
 
-def _continuation(prob: CEEProblem, opts: SolveOptions) -> tuple[np.ndarray, int]:
-    """Globalized Newton: warm-started solves along the data ramp t: 0 -> 1
-    of :func:`_ramp_family`.
+def _ramp(prob: CEEProblem, opts: SolveOptions, corrector) -> tuple[np.ndarray, int]:
+    """Warm-started solves along the data ramp t: 0 -> 1 of
+    :func:`_ramp_family`; returns P at t = 1, before the final polish, and
+    the corrector steps of the accepted substeps.
 
     At t = 0 the parameters vanish and P = 0 is the exact solution.  The
-    first trial step is the whole ramp, t = 1: plain damped Newton from
-    P = 0 on the problem itself.  Each substep reuses the previous solution
-    as the Newton start, with the step in t halved whenever a substep fails
+    first trial step is the whole ramp, t = 1: the corrector from P = 0 on
+    the problem itself.  Each substep reuses the previous solution as the
+    corrector's start, with the step in t halved whenever a substep fails
     or leaves the positive semidefinite h'Ph < 1 branch: started far away,
     Newton can stall or land on one of the equation's other symmetric
     solutions, and tracking the branch from t = 0 removes both failure
     modes.  A trial that clips to t = 1 and fails is not run again while
     the halved step still reaches t = 1: the problem, ``family(1.0)``, and
     the secant start would be the same, and so would the failure; the step
-    keeps halving until it ends short of t = 1 or the ramp stalls.  A final
-    polish runs on the problem itself at ``opts.tol``.  The returned count
-    is the Newton iterations of accepted substeps and of the polish;
-    failed substeps are not counted.
+    keeps halving until it ends short of t = 1 or the ramp stalls.
+
+    ``corrector(problem, start, tol)`` returns (P, steps) with the residual
+    norm of P at most ``tol``, or raises :class:`SolverError`.
     """
     family = _ramp_family(prob)
-    # Gamma depends on sigma alone, which the ramp leaves fixed
-    stein = _stein_matrix(prob.Gamma)
     # intermediate problems only seed the next warm start; they do not need
     # the final tolerance, and grinding on a hard substep is worse than
     # failing fast and halving the ramp step
@@ -449,9 +469,7 @@ def _continuation(prob: CEEProblem, opts: SolveOptions) -> tuple[np.ndarray, int
         else:
             start = P
         try:
-            P_next, nits = _newton(
-                family(t_next), start, sub_tol, _RAMP_NEWTON_MAX_ITER, stein
-            )
+            P_next, nits = corrector(family(t_next), start, sub_tol)
             if not _on_valid_branch(P_next):
                 raise SolverError("left the PSD h'Ph < 1 branch along the ramp")
         except (SolverError, np.linalg.LinAlgError):
@@ -470,11 +488,236 @@ def _continuation(prob: CEEProblem, opts: SolveOptions) -> tuple[np.ndarray, int
         P_prev, t_prev = P, t
         P, t = P_next, t_next
         step = min(2.0 * step, 0.5)
+    return P, total
+
+
+def _polish(prob, P, opts, stein) -> tuple[np.ndarray, int]:
+    """Final damped Newton on the problem itself at ``opts.tol``."""
     P, nits = _newton(prob, P, opts.tol, _NEWTON_MAX_ITER, stein)
-    total += nits
     if not _on_valid_branch(P):
         raise SolverError("continuation ended off the PSD h'Ph < 1 branch")
-    return P, total
+    return P, nits
+
+
+def _continuation(prob: CEEProblem, opts: SolveOptions) -> tuple[np.ndarray, int]:
+    """Globalized Newton in the full space: :func:`_ramp` with damped
+    Newton on the n^2 entries of P as the corrector, then a final polish at
+    ``opts.tol``.  The returned count is the Newton iterations of accepted
+    substeps and of the polish; failed substeps are not counted.  This is
+    the fallback of :func:`_first_column_continuation`.
+    """
+    # Gamma depends on sigma alone, which the ramp leaves fixed
+    stein = _stein_matrix(prob.Gamma)
+
+    def corrector(trial, start, tol):
+        return _newton(trial, start, tol, _RAMP_NEWTON_MAX_ITER, stein)
+
+    P, total = _ramp(prob, opts, corrector)
+    P, nits = _polish(prob, P, opts, stein)
+    return P, total + nits
+
+
+def _first_column_operator(stein: np.ndarray):
+    """(lu, K, kappa) for the CEE written on the first column x = Ph alone.
+
+    With g = c + M x, c = u + U sigma, M = U Gamma, the equation reads
+    P - Gamma P Gamma' = Q(x) := g g' - (Gamma x)(Gamma x)', so P is the
+    Stein solve of Q(x) and the CEE is x = F(x) := K vec Q(x), with K the
+    first n rows of (I - Gamma (x) Gamma)^{-1}.  ``lu`` factors stein =
+    I - Gamma (x) Gamma; K is returned symmetrized over the pair (i, j) of
+    Q's entries and laid out so that ``(K @ v).reshape(n, n)`` is the
+    matrix B(v) with B(v)[k, j] = sum_i Ks[k, i, j] v_i, hence
+    F(x) = B(g) g - B(Gamma x) Gamma x.  kappa bounds sum_ij |Ks[k, i, j]|.
+
+    Raises :class:`SolverError` when the 1-norm condition estimate of stein
+    exceeds ``_FIRST_COLUMN_MAX_COND``: K would then keep fewer than four
+    correct digits.
+    """
+    n = math.isqrt(stein.shape[0])
+    lapack = scipy.linalg.lapack
+    lu, piv, _ = lapack.dgetrf(stein)
+    rcond, _ = lapack.dgecon(lu, np.abs(stein).sum(axis=0).max(), norm="1")
+    if not rcond * _FIRST_COLUMN_MAX_COND >= 1.0:
+        raise SolverError(
+            f"I - Gamma (x) Gamma is too ill-conditioned for the first-column "
+            f"form (1-norm condition estimate {1.0 / rcond:.1e})"
+        )
+    # column k of the solve is row k of the inverse: T[k, j, i] is the
+    # weight of Q[i, j] in x_k (vec is column-major)
+    rows, _ = lapack.dgetrs(lu, piv, np.eye(n * n, n), trans=1)
+    T = rows.T.reshape(n, n, n)
+    Ks = 0.5 * (T + T.transpose(0, 2, 1))
+    kappa = float(np.abs(Ks).sum(axis=(1, 2)).max())
+    return (lu, piv), Ks.reshape(n * n, n), kappa
+
+
+def _stein_solve(lu, g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """P(x): the symmetric P with P - Gamma P Gamma' = Q(x) = g g' - y y',
+    y = Gamma x, through the LU factors ``lu`` of I - Gamma (x) Gamma."""
+    n = g.size
+    Q = g[:, None] * g - y[:, None] * y
+    P, _ = scipy.linalg.lapack.dgetrs(*lu, Q.ravel(order="F"))
+    P = P.reshape(n, n, order="F")
+    return 0.5 * (P + P.T)
+
+
+def _reduced_step(Bg, By, M, G, r):
+    """The Newton step (I - F'(x))^{-1} r of the first-column form, with
+    I - F'(x) = I - 2 (B(g) M - B(Gamma x) Gamma) the n x n Jacobian of
+    x - F(x) (see :func:`_first_column_operator`).  Raises
+    :class:`SolverError` when that Jacobian is singular."""
+    A = -2.0 * (Bg @ M - By @ G)
+    A.flat[:: A.shape[0] + 1] += 1.0
+    _, _, d, info = scipy.linalg.lapack.dgesv(A, r)
+    if info != 0:
+        raise SolverError("singular first-column Jacobian")
+    return d
+
+
+def _reduced_newton(prob, x, op):
+    """Damped Newton on r(x) = x - F(x), the CEE on its first column
+    (:func:`_first_column_operator`, which gives ``op``) for the problem
+    ``prob``, from x.  Returns (P, steps) with P the Stein solve of Q(x) at
+    convergence, or raises :class:`SolverError`.
+
+    Without damping its iterates are exactly the first columns of full-space
+    Newton's: a full-space step from any P lands on the Stein solve of the
+    linearized Q, whose first column is the Newton step on r.  F is
+    quadratic, so along a step d
+
+        r(x - t d) = (1 - t) r(x) - t^2 q,   q = K vec(M d d'M' - Gamma d d'Gamma'),
+
+    exactly.  The backtracking tests t = 1, 1/2, ... on ||r|| as
+    :func:`_try_step` does on ||R||_F: the full step on its direct value,
+    the others on this model, then the accepted trial directly.  The
+    iteration stops when ||r|| is at its rounding level, 8 n eps (|x| +
+    kappa (|g|^2 + |Gamma x|^2)), or when the full step fails on its direct
+    value while the model passes it: the difference is then rounding.
+
+    K carries the forward error of the inverse, up to cond(I - Gamma (x)
+    Gamma) eps, and so does its fixed point.  The Stein solve through the LU
+    factors is backward stable instead, so x - Ph measures the full-space
+    residual; refinement steps on it, with the same n x n Jacobian, follow
+    while they at least halve it.
+    """
+    lu, K, kappa = op
+    n = prob.n
+    G = prob.Gamma
+    c = prob.u + prob.U @ prob.sigma
+    M = prob.U @ G
+
+    def evaluate(x):
+        g = c + M @ x
+        y = G @ x
+        Bg = (K @ g).reshape(n, n)
+        By = (K @ y).reshape(n, n)
+        r = x - (Bg @ g - By @ y)
+        return g, y, Bg, By, r, math.sqrt(float(r @ r))
+
+    g, y, Bg, By, r, rnorm = evaluate(x)
+    steps = 0
+    while True:
+        floor = 8 * n * _EPS * (math.sqrt(float(x @ x))
+                                + kappa * float(g @ g + y @ y))
+        if rnorm <= floor:
+            break
+        if steps == _RAMP_NEWTON_MAX_ITER or not math.isfinite(rnorm):
+            raise SolverError(
+                f"first-column Newton stalled at a nonzero residual {rnorm:.3e}"
+            )
+        d = _reduced_step(Bg, By, M, G, r)
+        steps += 1
+        trial = evaluate(x - d)
+        if trial[5] < rnorm * (1.0 - 1e-4):
+            x = x - d
+            g, y, Bg, By, r, rnorm = trial
+            continue
+        Md = M @ d
+        Gd = G @ d
+        q = (K @ Md).reshape(n, n) @ Md - (K @ Gd).reshape(n, n) @ Gd
+        rq = float(r @ q)
+        qq = float(q @ q)
+        t = 1.0
+        while t > 1e-10:
+            # ||(1 - t) r - t^2 q||^2
+            a, b = 1.0 - t, t * t
+            model = a * a * rnorm * rnorm - 2.0 * a * b * rq + b * b * qq
+            if model < (rnorm * (1.0 - 1e-4 * t)) ** 2:
+                break
+            t *= 0.5
+        else:
+            raise SolverError(
+                f"first-column Newton stalled at a nonzero residual {rnorm:.3e}"
+            )
+        if t == 1.0:
+            # the exact model passes the full step that failed directly
+            break
+        x = x - t * d
+        g, y, Bg, By, r, rnorm = evaluate(x)
+    P = _stein_solve(lu, g, y)
+    e = x - P[:, 0]
+    enorm = math.sqrt(float(e @ e))
+    floor = 8 * n * _EPS * (math.sqrt(float(x @ x))
+                            + math.sqrt(float(np.vdot(P, P))))
+    while enorm > floor and steps < _RAMP_NEWTON_MAX_ITER:
+        try:
+            d = _reduced_step(Bg, By, M, G, e)
+        except SolverError:
+            break
+        steps += 1
+        x1 = x - d
+        g1, y1, Bg1, By1, _, _ = evaluate(x1)
+        P1 = _stein_solve(lu, g1, y1)
+        e1 = x1 - P1[:, 0]
+        e1norm = math.sqrt(float(e1 @ e1))
+        if not e1norm <= 0.5 * enorm:
+            break
+        x, Bg, By, P, e, enorm = x1, Bg1, By1, P1, e1, e1norm
+    return P, steps
+
+
+def _refine(prob: CEEProblem, P: np.ndarray, stein: np.ndarray) -> np.ndarray:
+    """One undamped full-space Newton step from P, with the residual
+    evaluated in extended precision (``np.longdouble``)."""
+    L = np.longdouble
+    G = prob.Gamma.astype(L)
+    PL = P.astype(L)
+    x = PL[:, 0]
+    g = prob.u.astype(L) + prob.U.astype(L) @ (prob.sigma.astype(L) + G @ x)
+    R = PL - G @ (PL - x[:, None] * x) @ G.T - g[:, None] * g
+    J = _newton_jacobian(prob, P, stein)
+    _, _, step, info = scipy.linalg.lapack.dgesv(J, R.astype(float).ravel(order="F"))
+    if info != 0:
+        raise SolverError("singular Jacobian in the refinement step")
+    P = P - step.reshape(prob.n, prob.n, order="F")
+    return 0.5 * (P + P.T)
+
+
+def _first_column_continuation(
+    prob: CEEProblem, opts: SolveOptions
+) -> tuple[np.ndarray, int]:
+    """The default Newton path: :func:`_ramp` with Newton on the n unknowns
+    of x = Ph as the corrector (:func:`_reduced_newton`).
+
+    Each substep's P is the Stein solve of Q(x) at the corrector's x, handed
+    to full-space :func:`_newton` at the substep tolerance, so every
+    accepted substep passes the same residual test as in
+    :func:`_continuation`.  At t = 1 one full-space step with an
+    extended-precision residual (:func:`_refine`) and the final polish
+    follow.  The returned count is the n x n and full-space Newton steps of
+    accepted substeps, the refinement step and the polish steps.
+    """
+    stein = _stein_matrix(prob.Gamma)
+    op = _first_column_operator(stein)
+
+    def corrector(trial, start, tol):
+        P, steps = _reduced_newton(trial, start[:, 0], op)
+        P, nits = _newton(trial, P, tol, _RAMP_NEWTON_MAX_ITER, stein)
+        return P, steps + nits
+
+    P, total = _ramp(prob, opts, corrector)
+    P, nits = _polish(prob, _refine(prob, P, stein), opts, stein)
+    return P, total + 1 + nits
 
 
 def _fixed_point(
@@ -506,17 +749,20 @@ def solve_cee(prob: CEEProblem, options: Optional[SolveOptions] = None) -> CEESo
     residual) and :class:`InvalidBranchError` if the converged P has
     h'Ph >= 1.
 
-    Methods "auto" and "newton" run :func:`_continuation`: damped Newton
-    from P = 0 on the problem itself first, then, if that stalls or lands
-    off the PSD branch, warm-started Newton solves along the data ramp of
-    :func:`_ramp_family`.  That path reads only (sigma, u, U), whatever
-    the data source.  Its ``iterations`` count the Newton steps of the
-    accepted ramp substeps and of the final polish only; the steps of
-    failed substeps are not counted.  Method "fixed-point" runs the
-    plain iteration from P = 0 alone; it has no global convergence
-    guarantee: the solution can be a repelling fixed point of the
-    iteration map, in which case the sweep trips the divergence guard or
-    exhausts its budget and the solve fails.
+    Methods "auto" and "newton" run :func:`_first_column_continuation`:
+    Newton from P = 0 on the problem itself first, then, if that stalls or
+    lands off the PSD branch, warm-started solves along the data ramp of
+    :func:`_ramp_family`, each substep solved as Newton on the n unknowns
+    of x = Ph and checked by full-space Newton.  When that path raises
+    :class:`SolverError` or ends with a non-Schur a, the full-space ramp
+    :func:`_continuation` runs from scratch and its result, or its error,
+    is returned.  Both read only (sigma, u, U), whatever the data source.
+    ``iterations`` counts the steps of the accepted ramp substeps and of
+    the final polish only (see :class:`CEESolution`).  Method
+    "fixed-point" runs the plain iteration from P = 0 alone; it has no
+    global convergence guarantee: the solution can be a repelling fixed
+    point of the iteration map, in which case the sweep trips the
+    divergence guard or exhausts its budget and the solve fails.
     """
     opts = options or SolveOptions()
     if opts.method == "fixed-point":
@@ -536,7 +782,13 @@ def solve_cee(prob: CEEProblem, options: Optional[SolveOptions] = None) -> CEESo
             )
         method = "fixed-point"
     else:
-        P, its = _continuation(prob, opts)
+        try:
+            P, its = _first_column_continuation(prob, opts)
+            fast = is_schur(extract_filter(prob, P)[0])
+        except SolverError:
+            fast = False
+        if not fast:
+            P, its = _continuation(prob, opts)
         method = "newton"
     a, rho = extract_filter(prob, P)
     g = g_of_P(prob, P)

@@ -3,6 +3,8 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from covext import cee
 from covext.cee import (
@@ -25,6 +27,7 @@ from covext.polyalg import (
     RationalPR,
     SchurPolynomial,
     factor_residual,
+    is_schur,
     laurent_coeffs,
     monic_numerator,
     reflection_to_tail,
@@ -239,8 +242,9 @@ class TestLineSearch:
             return ref
 
         monkeypatch.setattr(cee, "_try_step", spy)
+        # the full-space ramp, which solve_cee runs as its fallback
         for prob in corpus_slice():
-            solve_cee(prob)
+            cee._continuation(prob, SolveOptions())
         # the slice reaches both outcomes, including searches that fail
         assert outcomes["accepted"] > 100 and outcomes["failed"] > 0
 
@@ -305,8 +309,9 @@ class TestLineSearch:
                             counted("residual", cee._residual_matrix))
         monkeypatch.setattr(cee, "_newton_jacobian",
                             counted("jacobian", cee._newton_jacobian))
+        # the full-space ramp, which solve_cee runs as its fallback
         for prob in corpus_slice():
-            solve_cee(prob)
+            cee._continuation(prob, SolveOptions())
         assert counts["residual"] < 2.5 * counts["jacobian"]
 
 
@@ -403,6 +408,170 @@ class TestContinuation:
         # the problems reach the case: re-running every trial repeats some
         assert repeats(reference_continuation) > 0
         assert repeats(cee._continuation) == 0
+
+
+@st.composite
+def first_column_points(draw):
+    """(problem, x): a Schur sigma of degree n = 1..8 from reflection
+    coefficients in [-0.9, 0.9], dense (u, U) and a first column x."""
+    n = draw(st.integers(1, 8))
+    gammas = draw(st.lists(st.floats(-0.9, 0.9), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prob = CEEProblem(sigma=reflection_to_tail(np.array(gammas)),
+                      u=0.5 * rng.standard_normal(n),
+                      U=0.5 * rng.standard_normal((n, n)))
+    return prob, 0.5 * rng.standard_normal(n)
+
+
+def first_column_terms(prob, K, x):
+    """(g, Gamma x, B(g), B(Gamma x), F(x)) of the first-column form."""
+    n = prob.n
+    y = prob.Gamma @ x
+    g = prob.u + prob.U @ (prob.sigma + y)
+    Bg = (K @ g).reshape(n, n)
+    By = (K @ y).reshape(n, n)
+    return g, y, Bg, By, Bg @ g - By @ y
+
+
+def stein_cond(prob):
+    return np.linalg.cond(cee._stein_matrix(prob.Gamma))
+
+
+class TestFirstColumn:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(first_column_points())
+    def test_stein_solve_of_Q(self, point):
+        # P(x) solves P - Gamma P Gamma' = Q(x) to rounding, and its first
+        # column is F(x) to the inverse's forward error
+        prob, x = point
+        G = prob.Gamma
+        lu, K, _ = cee._first_column_operator(cee._stein_matrix(G))
+        g, y, _, _, F = first_column_terms(prob, K, x)
+        P = cee._stein_solve(lu, g, y)
+        Q = np.outer(g, g) - np.outer(y, y)
+        assert np.array_equal(P, P.T)
+        scale = (1.0 + np.linalg.norm(G) ** 2) * np.linalg.norm(P) + np.linalg.norm(Q)
+        eps = np.finfo(float).eps
+        assert np.linalg.norm(P - G @ P @ G.T - Q) <= 64 * prob.n * eps * scale
+        cond = stein_cond(prob)
+        assert np.linalg.norm(F - P[:, 0]) <= 64 * prob.n * eps * cond * scale
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_solution_is_a_fixed_point(self, n, seed):
+        # at a solved problem x* = Ph is a fixed point of F, and the Stein
+        # solve of Q(x*) is a solution of the CEE
+        _, sigma, _, _, c = forward_instance(np.random.default_rng(seed), n, 0.9)
+        prob = problem_from_covariances(c, sigma)
+        Pstar = solve_cee(prob).P
+        x = Pstar[:, 0]
+        lu, K, _ = cee._first_column_operator(cee._stein_matrix(prob.Gamma))
+        g, y, _, _, F = first_column_terms(prob, K, x)
+        scale = 1.0 + np.linalg.norm(Pstar)
+        cond = stein_cond(prob)
+        assert np.linalg.norm(x - F) <= 1e-13 * cond * scale
+        P = cee._stein_solve(lu, g, y)
+        assert cee_residual(prob, P) <= 1e-13 * cond * scale
+        assert np.linalg.norm(P - Pstar) <= 1e-12 * cond * scale
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(first_column_points())
+    def test_reduced_step_lifts_to_full_step(self, point):
+        # full-space Newton from P depends on P only through x = Ph: its
+        # iterate is the Stein solve of Q linearized at x along the n x n
+        # step d, whose first column is x - d
+        prob, x0 = point
+        n = prob.n
+        G = prob.Gamma
+        stein = cee._stein_matrix(G)
+        assume(np.linalg.cond(stein) <= 1e4)
+        lu, K, _ = cee._first_column_operator(stein)
+        g0, y0, _, _, _ = first_column_terms(prob, K, x0)
+        P = cee._stein_solve(lu, g0, y0)
+        J = cee._newton_jacobian(prob, P, stein)
+        assume(np.linalg.cond(J) <= 1e8)
+        full = P - np.linalg.solve(J, cee._residual_matrix(prob, P).ravel(order="F")
+                                   ).reshape(n, n, order="F")
+        x = P[:, 0]
+        g, y, Bg, By, F = first_column_terms(prob, K, x)
+        M = prob.U @ G
+        d = cee._reduced_step(Bg, By, M, G, x - F)
+        Md = M @ d
+        Gd = G @ d
+        Qlin = (np.outer(g, g) - np.outer(y, y) - np.outer(g, Md) - np.outer(Md, g)
+                + np.outer(y, Gd) + np.outer(Gd, y))
+        lifted = np.linalg.solve(stein, Qlin.ravel(order="F")).reshape(n, n, order="F")
+        assert np.linalg.norm(lifted - full) <= 1e-8 * np.linalg.norm(full)
+        assert np.linalg.norm(x - d - full[:, 0]) <= 1e-8 * np.linalg.norm(full)
+
+    def test_too_ill_conditioned_stein_raises(self):
+        # Gamma with eigenvalues near the unit circle makes I - Gamma (x) Gamma
+        # nearly singular: the first-column form refuses, typed
+        sigma = reflection_to_tail(np.full(20, 0.95))
+        stein = cee._stein_matrix(cee.companion(sigma))
+        assert np.linalg.cond(stein) > cee._FIRST_COLUMN_MAX_COND
+        with pytest.raises(SolverError, match="too ill-conditioned"):
+            cee._first_column_operator(stein)
+
+
+def perfbench_request(seed, request):
+    """(a, problem) of request ``request`` of the benchmark's corpus pool at
+    ``seed``: draw request + 1 from rng [seed, 2], n = 2..8 interleaved."""
+    rng = np.random.default_rng([seed, 2])
+    for k in range(request + 1):
+        a, sigma, _, _, c = forward_instance(rng, 2 + k % 7, 0.95)
+    return a, problem_from_covariances(c, sigma)
+
+
+def solve_outcome(prob):
+    """(P bytes, iterations) of solve_cee, or the error text."""
+    try:
+        sol = solve_cee(prob)
+    except SolverError as exc:
+        return str(exc)
+    return sol.P.tobytes(), sol.iterations
+
+
+class TestFallback:
+    def test_failed_fast_path_returns_the_full_space_result(self, monkeypatch):
+        calls = []
+
+        def fail(prob, opts):
+            calls.append(prob)
+            raise SolverError("forced")
+
+        monkeypatch.setattr(cee, "_first_column_continuation", fail)
+        problems = corpus_slice(per_degree=1) + [known_stall()]
+        for prob in problems:
+            assert solve_outcome(prob) == ramp_outcome(cee._continuation, prob)
+        assert calls == problems
+        assert solve_outcome(known_stall()) == "continuation stalled at t = 0.999625849"
+
+    def test_non_schur_fast_path_returns_the_full_space_result(self, monkeypatch):
+        # Gamma e_2 = e_1, so moving P[1, 0] by s moves a by s (I - U) e_1
+        # and leaves h'Ph; a_1 = n + 1 is more than a sum of n roots inside
+        # the unit circle can be, so a(z) is then not Schur
+        prob = corpus_slice(per_degree=1)[3]
+        n = prob.n
+        P, _ = cee._continuation(prob, SolveOptions())
+        a, _ = extract_filter(prob, P)
+        s = (n + 1 - a[0]) / (1.0 - prob.U[0, 0])
+        bad = P.copy()
+        bad[1, 0] += s
+        bad[0, 1] += s
+        a_bad, _ = extract_filter(prob, bad)
+        assert a_bad[0] == pytest.approx(n + 1) and not is_schur(a_bad)
+        monkeypatch.setattr(cee, "_first_column_continuation",
+                            lambda prob, opts: (bad, 7))
+        assert solve_outcome(prob) == ramp_outcome(cee._continuation, prob)
+
+    def test_fragile_request_recovers_a(self):
+        # perfbench corpus seed 2002 request 615 (n = 8): the first-column
+        # path ends with a non-Schur a, and the fallback recovers a
+        a, prob = perfbench_request(2002, 615)
+        sol = solve_cee(prob, SolveOptions(max_iter=20_000))
+        assert prob.n == 8 and sol.a_is_schur
+        assert np.max(np.abs(sol.a - a.coeffs)) <= 1e-6
 
 
 class TestSolve:
@@ -651,6 +820,14 @@ class TestUniversality:
             cee.solve_cee,
             cee._fixed_point,
             cee._continuation,
+            cee._ramp,
+            cee._polish,
+            cee._first_column_continuation,
+            cee._first_column_operator,
+            cee._stein_solve,
+            cee._reduced_step,
+            cee._reduced_newton,
+            cee._refine,
             cee._ramp_family,
             cee._newton,
             cee._try_step,

@@ -3,7 +3,8 @@ digest and an outcome report.
 
 Four sections: the criterion-02 corpus, the positive-degree grids, the
 interpolation set and the command-line round trips.  A fifth, the large-n
-instances, runs on its own with ``--large-n``.
+instances, runs on its own with ``--large-n``, and a sixth, the benchmark's
+``corpus`` pools, with ``--perfbench-seeds``.
 
 The corpus is the acceptance suite's round-trip recipe: seed 20260808,
 100 instances for each n in 2..8, reflection coefficients of a and sigma
@@ -45,15 +46,17 @@ with the same cli digest write byte-identical solution files and print the
 same messages.
 
 Each section also prints a work line: how many residuals
-(``cee._residual_matrix``) it evaluated, how many Newton Jacobians
-(``cee._newton_jacobian``) it assembled, which counts every Newton
-iteration including those of failed continuation substeps, how many
-line searches (``cee._try_step``) failed, how many continuation ramp
-trials ran and how many of them failed, and how many Jacobians the failed
-trials assembled; failed trials at t = 1, on the problem itself, are also
-counted on their own.  The counts come from wrapping those module
-functions, ``cee._continuation``, ``cee._ramp_family`` and ``cee._newton``
-here; the wrappers change no result.
+(``cee._residual_matrix``) it evaluated, how many full-space Newton
+Jacobians (``cee._newton_jacobian``) it assembled and how many n x n
+first-column Newton steps (``cee._reduced_step``) it took, both counting
+the iterations of failed continuation substeps too, how many full-space
+line searches (``cee._try_step``) failed, how many solves fell back to the
+full-space ramp (``cee._continuation``), how many continuation ramp trials
+(``cee._ramp``) ran and how many of them failed, and how many Jacobians
+and n x n steps the failed trials took; failed trials at t = 1, on the
+problem itself, are also counted on their own.  The counts come from
+wrapping those module functions and ``cee._ramp_family`` here; the
+wrappers change no result.
 
 The cli section also prints a validation line: how many documents
 (problems and solutions, read or written) were validated, how many the
@@ -72,9 +75,17 @@ prints one line per instance (the outcome with its iteration count and
 |a err|, or the error text), a sha256 over P bytes, method, iterations and
 error texts, the elapsed time and the work line.
 
+``--perfbench-seeds S1,S2,...`` runs only the benchmark's ``corpus``
+pools instead: for each seed, the 770 requests of a 55 s run (rng
+``[seed, 2]``, n = 2..8 interleaved, reflection coefficients in
+(-0.95, 0.95)), each solved as the workload does.  Per seed it prints the
+failures with their texts, the requests with |a err| > 1e-8 and the worst
+|a err|, a sha256 over P bytes, method, iterations and error texts, and
+the work line.
+
 Run from any directory; the covext sources next to this script are used:
 
-    python3 tools/corpus_digest.py [--details | --large-n]
+    python3 tools/corpus_digest.py [--details | --large-n | --perfbench-seeds S1,S2,...]
 """
 
 from __future__ import annotations
@@ -132,49 +143,46 @@ CLI_COV_DEGREES = range(2, 7)
 CLI_NP_DEGREES = range(1, 4)
 CLI_PER_DEGREE = 10
 LARGE_N_SEEDS = range(1, 4)
+# the benchmark's corpus pool: 55 s at 2 rounds of n = 2..8 per second
+PERFBENCH_REQUESTS = 770
 # the benchmark's large_n strata (perfbench/workloads.py), one round per seed
 LARGE_N_STRATA = tuple((n, r) for r in (0.5, 0.8, 0.95) for n in (12, 16, 20))
 
 
 @contextlib.contextmanager
 def counted_work(section: str):
-    """Count residual evaluations, Jacobian assemblies, failed line searches
-    and continuation ramp trials inside the block, then print them as the
-    section's work line."""
-    counts = {"residuals": 0, "jacobians": 0, "failed line searches": 0,
+    """Count residual evaluations, full-space Jacobian assemblies, n x n
+    steps, failed line searches, continuation ramp trials and fallbacks to
+    the full-space ramp inside the block, then print them as the section's
+    work line."""
+    counts = {"residuals": 0, "jacobians": 0, "n×n steps": 0,
+              "failed line searches": 0, "fallbacks": 0,
               "ramp trials": 0, "failed trials": 0, "failed trials at t=1": 0,
               "jacobians of failed trials": 0,
-              "jacobians of failed trials at t=1": 0}
+              "jacobians of failed trials at t=1": 0,
+              "n×n steps of failed trials": 0}
     originals = {name: getattr(cee, name) for name in
-                 ("_residual_matrix", "_newton_jacobian", "_try_step",
-                  "_continuation", "_ramp_family", "_newton")}
-    trials = []  # the current solve's ramp trials as (t, jacobians at start)
-    newton_start = 0  # jacobians at the start of the latest Newton run
+                 ("_residual_matrix", "_newton_jacobian", "_reduced_step",
+                  "_try_step", "_continuation", "_ramp", "_ramp_family")}
+    trials = []  # the current ramp's trials as (t, jacobians, n×n steps at start)
 
-    def residual(*args):
-        counts["residuals"] += 1
-        return originals["_residual_matrix"](*args)
-
-    def jacobian(*args):
-        counts["jacobians"] += 1
-        return originals["_newton_jacobian"](*args)
+    def counter(name, key):
+        def counted(*args):
+            counts[key] += 1
+            return originals[name](*args)
+        return counted
 
     def try_step(*args):
         moved = originals["_try_step"](*args)
         counts["failed line searches"] += moved is None
         return moved
 
-    def newton(*args):
-        nonlocal newton_start
-        newton_start = counts["jacobians"]
-        return originals["_newton"](*args)
-
     def ramp_family(*args):
         family = originals["_ramp_family"](*args)
 
         def trial(t):
             # the ramp builds its problem once per trial
-            trials.append((t, counts["jacobians"]))
+            trials.append((t, counts["jacobians"], counts["n×n steps"]))
             return family(t)
 
         return trial
@@ -182,34 +190,39 @@ def counted_work(section: str):
     def tally(stalled):
         """An accepted trial moves the ramp forward, so a trial failed when
         the next one does not go beyond it; the last trial failed when the
-        ramp stalled, and otherwise the final polish follows it."""
-        last = (-np.inf, counts["jacobians"]) if stalled else (np.inf, newton_start)
-        for (t, start), (t_after, end) in zip(trials, trials[1:] + [last]):
+        ramp stalled, and otherwise ended the ramp."""
+        last = (-np.inf if stalled else np.inf, counts["jacobians"],
+                counts["n×n steps"])
+        for (t, jac, steps), (t_after, jac_end, steps_end) in zip(
+                trials, trials[1:] + [last]):
             counts["ramp trials"] += 1
             if t_after <= t:
                 counts["failed trials"] += 1
-                counts["jacobians of failed trials"] += end - start
+                counts["jacobians of failed trials"] += jac_end - jac
+                counts["n×n steps of failed trials"] += steps_end - steps
                 if t == 1.0:
                     counts["failed trials at t=1"] += 1
-                    counts["jacobians of failed trials at t=1"] += end - start
+                    counts["jacobians of failed trials at t=1"] += jac_end - jac
         trials.clear()
 
-    def continuation(*args):
+    def ramp(*args):
         stalled = False
         try:
-            return originals["_continuation"](*args)
+            return originals["_ramp"](*args)
         except SolverError as exc:
             stalled = str(exc).startswith("continuation stalled")
             raise
         finally:
             tally(stalled)
 
-    cee._residual_matrix = residual
-    cee._newton_jacobian = jacobian
+    cee._residual_matrix = counter("_residual_matrix", "residuals")
+    cee._newton_jacobian = counter("_newton_jacobian", "jacobians")
+    cee._reduced_step = counter("_reduced_step", "n×n steps")
+    # solve_cee runs the full-space ramp only after the fast path failed
+    cee._continuation = counter("_continuation", "fallbacks")
     cee._try_step = try_step
-    cee._newton = newton
     cee._ramp_family = ramp_family
-    cee._continuation = continuation
+    cee._ramp = ramp
     try:
         yield
     finally:
@@ -502,10 +515,57 @@ def large_n_section() -> None:
     print(f"large_n sha256 {digest.hexdigest()}")
 
 
+def perfbench_problems(seed):
+    """(request, n, a, rho, problem) for the pool of the benchmark's
+    ``corpus`` workload at ``seed``: rng ``[seed, 2]``, n = 2..8 interleaved,
+    r = 0.95, the requests of a 55 s run."""
+    rng = np.random.default_rng([seed, 2])
+    for request in range(PERFBENCH_REQUESTS):
+        n = DEGREES[request % len(DEGREES)]
+        a, sigma, rho, _, c = forward_instance(rng, n, RADIUS)
+        yield request, n, a, rho, problem_from_covariances(c, sigma)
+
+
+def perfbench_section(seed: int) -> None:
+    opts = SolveOptions(max_iter=20_000)
+    digest = hashlib.sha256()
+    failures = []
+    a_err = {}
+    t0 = time.perf_counter()
+    for request, n, a, rho, prob in perfbench_problems(seed):
+        try:
+            sol = solve_cee(prob, opts)
+        except Exception as exc:  # noqa: BLE001 - a failure is part of the digest
+            reason = f"{type(exc).__name__}: {exc}"
+            failures.append((request, n, reason))
+            digest.update(f"error {reason}\n".encode())
+            continue
+        digest.update(sol.P.tobytes())
+        digest.update(f"{sol.method} {sol.iterations}\n".encode())
+        a_err[(request, n)] = float(np.max(np.abs(sol.a - a.coeffs)))
+    elapsed = time.perf_counter() - t0
+    print(f"perfbench seed {seed}  requests {PERFBENCH_REQUESTS}  "
+          f"failures {len(failures)}  elapsed {elapsed:.2f} s")
+    for request, n, reason in failures:
+        print(f"perfbench seed {seed} failure #{request} n={n}  {reason}")
+    for (request, n), err in a_err.items():
+        if err > 1e-8:
+            print(f"perfbench seed {seed} #{request} n={n}  |a err| {err:.3e}")
+    if a_err:
+        print(f"perfbench seed {seed} |a err| worst {max(a_err.values()):.3e}")
+    print(f"perfbench seed {seed} sha256 {digest.hexdigest()}")
+
+
 def main() -> int:
     if "--large-n" in sys.argv[1:]:
         with counted_work("large_n"):
             large_n_section()
+        return 0
+    if "--perfbench-seeds" in sys.argv[1:]:
+        seeds = sys.argv[sys.argv.index("--perfbench-seeds") + 1]
+        for seed in seeds.split(","):
+            with counted_work(f"perfbench seed {seed}"):
+                perfbench_section(int(seed))
         return 0
     details = "--details" in sys.argv[1:]
     with counted_work("corpus"):
