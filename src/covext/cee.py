@@ -38,9 +38,6 @@ _RAMP_NEWTON_MAX_ITER = 25
 # margin from +-1 of the positive-degree grid's reflection coefficients
 _GRID_EPS = 0.05
 _EPS = float(np.finfo(float).eps)
-# the first-column form needs K, rows of (I - Gamma (x) Gamma)^{-1}, to
-# about four correct digits: cond eps <= 1e-4
-_FIRST_COLUMN_MAX_COND = 1e-4 / _EPS
 
 
 def companion(vec) -> np.ndarray:
@@ -120,10 +117,8 @@ class CEESolution:
 
     ``iterations`` is the fixed-point step count for method "fixed-point".
     For "newton" it counts the n x n first-column Newton steps and the
-    full-space Newton steps of accepted continuation substeps, the
-    refinement step and the final polish's steps, not those of failed
-    substeps; after a fallback to the full-space ramp it is that ramp's
-    count of accepted-substep and polish Newton steps.
+    lifted full-space Newton steps of the accepted continuation substeps,
+    the t = 1 refinement step included, not those of failed trials.
     """
 
     P: np.ndarray
@@ -147,8 +142,9 @@ class SolveOptions:
 
     method "auto" (the default) and "newton" name the same path: one
     continuation in the data parameters whose first trial step is Newton
-    from P = 0 on the problem itself; the step halves while a trial stalls
-    or lands off the PSD h'Ph < 1 branch (see :func:`solve_cee`).
+    from P = 0 on the problem itself; the step halves while a trial stalls,
+    lands off the PSD h'Ph < 1 branch or, at t = 1, ends with a non-Schur
+    a (see :func:`solve_cee`).
     "fixed-point" runs the paper's plain iteration from P = 0 alone, with a budget of
     ``max_iter`` steps; ``divergence_guard`` aborts that sweep once
     h'Ph >= 1 after the first ``_GRACE`` steps, appropriate when the data
@@ -234,160 +230,11 @@ def rank_P(P: np.ndarray, rank_tol: float = 1e-8) -> int:
 
 
 def _stein_matrix(G: np.ndarray) -> np.ndarray:
-    """I - G (x) G, the P-independent part of the Newton Jacobian."""
+    """I - G (x) G, the Stein operator P -> P - G P G' on vec(P)
+    (column-major)."""
     n = G.shape[0]
     GG = (G[:, None, :, None] * G[None, :, None, :]).reshape(n * n, n * n)
     return np.eye(n * n) - GG
-
-
-def _newton_jacobian(
-    prob: CEEProblem, P: np.ndarray, stein: np.ndarray
-) -> np.ndarray:
-    """Jacobian of the residual map on vec(P) (column-major),
-
-        I - G(x)G + (G P h h')(x)G + G(x)(G P h h') - (g h')(x)UG - UG(x)(g h'),
-
-    given stein = I - G(x)G from :func:`_stein_matrix`.  The factors
-    G P h h' and g h' are zero outside column 0, so the four correction
-    terms touch only column block 0 and the columns j n; they are added
-    there in the order above, which makes J bit-identical to the sum of
-    the five dense Kronecker products for finite P.
-    """
-    n = prob.n
-    G = prob.Gamma
-    UG = prob.U @ G
-    g = g_of_P(prob, P)
-    GPh = G @ P[:, 0]
-    J = stein.copy()
-    # J4[i, k, j, l] is J[i n + k, j n + l]; (A (x) B)[i n + k, j n + l]
-    # is A[i, j] B[k, l]
-    J4 = J.reshape(n, n, n, n)
-    J4[:, :, 0, :] += GPh[:, None, None] * G
-    J4[:, :, :, 0] += G[:, None, :] * GPh[:, None]
-    J4[:, :, 0, :] -= g[:, None, None] * UG
-    J4[:, :, :, 0] -= UG[:, None, :] * g[:, None]
-    return J
-
-
-def _residual_floor(prob, P, R, rnorm, step, R1, r1):
-    """The map from t to a lower bound on the residual norm that
-    :func:`_try_step` computes for its trial sym(P - t step), built from
-    the residuals R at the symmetric P and R1 at the full step.
-
-    The residual is quadratic in P.  With S = sym(step), w = Gamma S h and
-    v = U w, g(P - t S) = g(P) - t v, and along the line
-
-        R(P - t S) = (1 - t) R + t R1 - t (1 - t) Q,    Q = w w' - v v',
-
-    exactly.  Its squared norm is a quadratic in t whose coefficients need
-    only rnorm, r1, <R, R1>, <R, Q>, <R1, Q> and ||Q||.  Two rounding
-    margins come off the model's norm.  The model's own: (2 n^2 + 32) eps
-    times the square of (1 - t) rnorm + t r1 + t (1 - t) (w'w + v'v),
-    which bounds the sum of the absolute terms of the squared norm.  The
-    direct evaluations': 64 (n + 1) eps times
-
-        B = p + |Gamma|^2 (p + p^2) + (|u| + |U| (|sigma| + |Gamma| p))^2,
-        p = |P| + |step|   (Frobenius norms),
-
-    which bounds the terms of the residual anywhere on the segment, so it
-    covers the rounding in R, in R1 and in the trial itself.
-    """
-    n = prob.n
-    # an overflow here only makes the floor NaN or -inf, which skips nothing
-    with np.errstate(all="ignore"):
-        w = prob.Gamma @ (0.5 * (step[:, 0] + step[0]))
-        v = prob.U @ w
-        Q = w[:, None] * w - v[:, None] * v
-        c01, q0, q1, qq, ww, vv = (
-            float(np.vdot(x, y))
-            for x, y in ((R, R1), (R, Q), (R1, Q), (Q, Q), (w, w), (v, v))
-        )
-        gamma, nP, nstep, nu, nU, nsigma = (
-            math.sqrt(float(np.vdot(x, x)))
-            for x in (prob.Gamma, P, step, prob.u, prob.U, prob.sigma)
-        )
-    r0 = float(rnorm)
-    r1 = float(r1)
-    m = ww + vv
-    model_eps = (2 * n * n + 32) * _EPS
-    p = nP + nstep
-    g = nu + nU * (nsigma + gamma * p)
-    margin = 64 * (n + 1) * _EPS * (p + gamma * gamma * (p + p * p) + g * g)
-
-    def floor(t: float) -> float:
-        a = 1.0 - t
-        c = t * a
-        q = (a * a * r0 * r0 + t * t * r1 * r1 + 2.0 * a * t * c01
-             + c * c * qq - 2.0 * c * (a * q0 + t * q1))
-        s = a * r0 + t * r1 + c * m
-        q -= model_eps * s * s
-        return math.sqrt(q) - margin if q > 0.0 else -math.inf
-
-    return floor
-
-
-def _try_step(prob, P, R, rnorm, step, tol):
-    """Backtracking on ||R||_F over t = 1, 1/2, ... while t > 1e-10;
-    returns (P, R, rnorm) at the first trial with a sufficient decrease,
-    or None.  P is symmetric, as every iterate of :func:`_newton` is.
-
-    After a failed full step, :func:`_residual_floor` prices the
-    remaining trials from the residual's exact quadratic form along the
-    line: a trial whose floor already fails the test is skipped, every
-    other trial is evaluated directly and judged on that value alone, so
-    the result is the one evaluating every trial gives.
-    """
-    floor = None
-    t = 1.0
-    while t > 1e-10:
-        bar = rnorm * (1.0 - 1e-4 * t)
-        # written so that a NaN floor skips nothing
-        if floor is None or not floor(t) > max(bar, tol):
-            Pt = P - t * step
-            Pt = 0.5 * (Pt + Pt.T)
-            Rt = _residual_matrix(prob, Pt)
-            rt = np.linalg.norm(Rt, "fro")
-            if rt < bar or rt <= tol:
-                return Pt, Rt, rt
-            if floor is None:
-                floor = _residual_floor(prob, P, R, rnorm, step, Rt, rt)
-        t *= 0.5
-    return None
-
-
-def _newton(
-    prob: CEEProblem, P0: np.ndarray, tol: float, max_iter: int,
-    stein: np.ndarray,
-) -> tuple[np.ndarray, int]:
-    """Damped Newton on the residual map, given stein = I - Gamma (x) Gamma
-    from :func:`_stein_matrix`.  Raises :class:`SolverError` as soon as J
-    is singular or the Newton direction fails the backtracking line search;
-    the continuation ramp recovers by halving its t-step."""
-    P = 0.5 * (P0 + P0.T)
-    R = _residual_matrix(prob, P)
-    rnorm = np.linalg.norm(R, "fro")
-    for it in range(1, max_iter + 1):
-        if rnorm <= tol:
-            return P, it - 1
-        J = _newton_jacobian(prob, P, stein)
-        try:
-            step = np.linalg.solve(J, R.ravel(order="F"))
-        except np.linalg.LinAlgError:
-            moved = None
-        else:
-            step = step.reshape(prob.n, prob.n, order="F")
-            moved = _try_step(prob, P, R, rnorm, step, tol)
-        if moved is None:
-            raise SolverError(
-                f"Newton stalled at a nonzero residual {rnorm:.3e}"
-            )
-        P, R, rnorm = moved
-    if rnorm <= tol:
-        return P, max_iter
-    raise SolverError(
-        f"Newton did not converge in {max_iter} iterations "
-        f"(last residual {rnorm:.3e})"
-    )
 
 
 def _on_valid_branch(P: np.ndarray) -> bool:
@@ -430,93 +277,6 @@ def _ramp_family(prob: CEEProblem):
     return family
 
 
-def _ramp(prob: CEEProblem, opts: SolveOptions, corrector) -> tuple[np.ndarray, int]:
-    """Warm-started solves along the data ramp t: 0 -> 1 of
-    :func:`_ramp_family`; returns P at t = 1, before the final polish, and
-    the corrector steps of the accepted substeps.
-
-    At t = 0 the parameters vanish and P = 0 is the exact solution.  The
-    first trial step is the whole ramp, t = 1: the corrector from P = 0 on
-    the problem itself.  Each substep reuses the previous solution as the
-    corrector's start, with the step in t halved whenever a substep fails
-    or leaves the positive semidefinite h'Ph < 1 branch: started far away,
-    Newton can stall or land on one of the equation's other symmetric
-    solutions, and tracking the branch from t = 0 removes both failure
-    modes.  A trial that clips to t = 1 and fails is not run again while
-    the halved step still reaches t = 1: the problem, ``family(1.0)``, and
-    the secant start would be the same, and so would the failure; the step
-    keeps halving until it ends short of t = 1 or the ramp stalls.
-
-    ``corrector(problem, start, tol)`` returns (P, steps) with the residual
-    norm of P at most ``tol``, or raises :class:`SolverError`.
-    """
-    family = _ramp_family(prob)
-    # intermediate problems only seed the next warm start; they do not need
-    # the final tolerance, and grinding on a hard substep is worse than
-    # failing fast and halving the ramp step
-    sub_tol = max(opts.tol, 1e-9)
-    P = np.zeros((prob.n, prob.n))
-    P_prev = None
-    t = 0.0
-    t_prev = 0.0
-    total = 0
-    step = 1.0
-    while t < 1.0:
-        t_next = min(1.0, t + step)
-        if P_prev is not None and t > t_prev:
-            # secant predictor along the branch
-            start = P + (P - P_prev) * ((t_next - t) / (t - t_prev))
-        else:
-            start = P
-        try:
-            P_next, nits = corrector(family(t_next), start, sub_tol)
-            if not _on_valid_branch(P_next):
-                raise SolverError("left the PSD h'Ph < 1 branch along the ramp")
-        except (SolverError, np.linalg.LinAlgError):
-            # LinAlgError: I - (1 - t) U is singular at this t
-            step *= 0.5
-            # a halved step that still reaches t = 1 would repeat the failed
-            # trial: the same problem from the same secant start
-            while t_next == 1.0 and t + step >= 1.0 and step >= 1e-9:
-                step *= 0.5
-            if step < 1e-9:
-                raise SolverError(
-                    f"continuation stalled at t = {t:.9f}"
-                ) from None
-            continue
-        total += nits
-        P_prev, t_prev = P, t
-        P, t = P_next, t_next
-        step = min(2.0 * step, 0.5)
-    return P, total
-
-
-def _polish(prob, P, opts, stein) -> tuple[np.ndarray, int]:
-    """Final damped Newton on the problem itself at ``opts.tol``."""
-    P, nits = _newton(prob, P, opts.tol, _NEWTON_MAX_ITER, stein)
-    if not _on_valid_branch(P):
-        raise SolverError("continuation ended off the PSD h'Ph < 1 branch")
-    return P, nits
-
-
-def _continuation(prob: CEEProblem, opts: SolveOptions) -> tuple[np.ndarray, int]:
-    """Globalized Newton in the full space: :func:`_ramp` with damped
-    Newton on the n^2 entries of P as the corrector, then a final polish at
-    ``opts.tol``.  The returned count is the Newton iterations of accepted
-    substeps and of the polish; failed substeps are not counted.  This is
-    the fallback of :func:`_first_column_continuation`.
-    """
-    # Gamma depends on sigma alone, which the ramp leaves fixed
-    stein = _stein_matrix(prob.Gamma)
-
-    def corrector(trial, start, tol):
-        return _newton(trial, start, tol, _RAMP_NEWTON_MAX_ITER, stein)
-
-    P, total = _ramp(prob, opts, corrector)
-    P, nits = _polish(prob, P, opts, stein)
-    return P, total + nits
-
-
 def _first_column_operator(stein: np.ndarray):
     """(lu, K, kappa) for the CEE written on the first column x = Ph alone.
 
@@ -528,20 +288,10 @@ def _first_column_operator(stein: np.ndarray):
     Q's entries and laid out so that ``(K @ v).reshape(n, n)`` is the
     matrix B(v) with B(v)[k, j] = sum_i Ks[k, i, j] v_i, hence
     F(x) = B(g) g - B(Gamma x) Gamma x.  kappa bounds sum_ij |Ks[k, i, j]|.
-
-    Raises :class:`SolverError` when the 1-norm condition estimate of stein
-    exceeds ``_FIRST_COLUMN_MAX_COND``: K would then keep fewer than four
-    correct digits.
     """
     n = math.isqrt(stein.shape[0])
     lapack = scipy.linalg.lapack
     lu, piv, _ = lapack.dgetrf(stein)
-    rcond, _ = lapack.dgecon(lu, np.abs(stein).sum(axis=0).max(), norm="1")
-    if not rcond * _FIRST_COLUMN_MAX_COND >= 1.0:
-        raise SolverError(
-            f"I - Gamma (x) Gamma is too ill-conditioned for the first-column "
-            f"form (1-norm condition estimate {1.0 / rcond:.1e})"
-        )
     # column k of the solve is row k of the inverse: T[k, j, i] is the
     # weight of Q[i, j] in x_k (vec is column-major)
     rows, _ = lapack.dgetrs(lu, piv, np.eye(n * n, n), trans=1)
@@ -551,11 +301,10 @@ def _first_column_operator(stein: np.ndarray):
     return (lu, piv), Ks.reshape(n * n, n), kappa
 
 
-def _stein_solve(lu, g: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """P(x): the symmetric P with P - Gamma P Gamma' = Q(x) = g g' - y y',
-    y = Gamma x, through the LU factors ``lu`` of I - Gamma (x) Gamma."""
-    n = g.size
-    Q = g[:, None] * g - y[:, None] * y
+def _stein_solve(lu, Q: np.ndarray) -> np.ndarray:
+    """The symmetric P with P - Gamma P Gamma' = Q, for symmetric Q, through
+    the LU factors ``lu`` of I - Gamma (x) Gamma."""
+    n = Q.shape[0]
     P, _ = scipy.linalg.lapack.dgetrs(*lu, Q.ravel(order="F"))
     P = P.reshape(n, n, order="F")
     return 0.5 * (P + P.T)
@@ -574,6 +323,62 @@ def _reduced_step(Bg, By, M, G, r):
     return d
 
 
+def _lifted_step(prob: CEEProblem, op, P: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """The full-space Newton step delta from P, J delta = R, for the
+    residual R = R(P) (or a more accurate value of it), from n x n work.
+
+    The CEE reads S(P) = Q(Ph) with S(P) = P - Gamma P Gamma' the Stein
+    operator, so J delta = S(delta) - DQ(x)[delta h] at x = Ph.  With
+    L = S^{-1}, the step is
+
+        delta = L(R + DQ(x)[e]),   (I - F'(x)) e = L(R) h,
+
+    where e = delta h follows from the first column of the first equation:
+    one n x n solve (:func:`_reduced_step`) and two Stein solves through
+    the LU factors in ``op`` (:func:`_first_column_operator`).
+    """
+    lu, K, _ = op
+    n = prob.n
+    G = prob.Gamma
+    M = prob.U @ G
+    g = g_of_P(prob, P)
+    y = G @ P[:, 0]
+    e = _reduced_step((K @ g).reshape(n, n), (K @ y).reshape(n, n), M, G,
+                      _stein_solve(lu, R)[:, 0])
+    Me = M @ e
+    Ge = G @ e
+    DQ = Me[:, None] * g + g[:, None] * Me - Ge[:, None] * y - y[:, None] * Ge
+    return _stein_solve(lu, R + DQ)
+
+
+def _newton(prob: CEEProblem, P0: np.ndarray, tol: float, max_iter: int,
+            op) -> tuple[np.ndarray, int]:
+    """Undamped full-space Newton on the residual map through lifted steps
+    (:func:`_lifted_step`), to ||R||_F <= ``tol``.  Raises
+    :class:`SolverError` as soon as a step fails to lower ||R||_F by the
+    factor 1 - 1e-4; the continuation ramp recovers by halving its
+    t-step."""
+    P = 0.5 * (P0 + P0.T)
+    R = _residual_matrix(prob, P)
+    rnorm = np.linalg.norm(R, "fro")
+    for it in range(max_iter):
+        if rnorm <= tol:
+            return P, it
+        Pn = P - _lifted_step(prob, op, P, R)
+        Pn = 0.5 * (Pn + Pn.T)
+        Rn = _residual_matrix(prob, Pn)
+        rn = np.linalg.norm(Rn, "fro")
+        if not (rn < rnorm * (1.0 - 1e-4) or rn <= tol):
+            raise SolverError(f"Newton stalled at a nonzero residual {rnorm:.3e}")
+        P, R, rnorm = Pn, Rn, rn
+    if rnorm <= tol:
+        return P, max_iter
+    raise SolverError(
+        f"Newton did not converge in {max_iter} iterations "
+        f"(last residual {rnorm:.3e})"
+    )
+
+
 def _reduced_newton(prob, x, op):
     """Damped Newton on r(x) = x - F(x), the CEE on its first column
     (:func:`_first_column_operator`, which gives ``op``) for the problem
@@ -587,8 +392,8 @@ def _reduced_newton(prob, x, op):
 
         r(x - t d) = (1 - t) r(x) - t^2 q,   q = K vec(M d d'M' - Gamma d d'Gamma'),
 
-    exactly.  The backtracking tests t = 1, 1/2, ... on ||r|| as
-    :func:`_try_step` does on ||R||_F: the full step on its direct value,
+    exactly.  The backtracking tests t = 1, 1/2, ... on ||r|| for a
+    decrease by the factor 1 - 1e-4 t: the full step on its direct value,
     the others on this model, then the accepted trial directly.  The
     iteration stops when ||r|| is at its rounding level, 8 n eps (|x| +
     kappa (|g|^2 + |Gamma x|^2)), or when the full step fails on its direct
@@ -654,7 +459,7 @@ def _reduced_newton(prob, x, op):
             break
         x = x - t * d
         g, y, Bg, By, r, rnorm = evaluate(x)
-    P = _stein_solve(lu, g, y)
+    P = _stein_solve(lu, g[:, None] * g - y[:, None] * y)
     e = x - P[:, 0]
     enorm = math.sqrt(float(e @ e))
     floor = 8 * n * _EPS * (math.sqrt(float(x @ x))
@@ -667,7 +472,7 @@ def _reduced_newton(prob, x, op):
         steps += 1
         x1 = x - d
         g1, y1, Bg1, By1, _, _ = evaluate(x1)
-        P1 = _stein_solve(lu, g1, y1)
+        P1 = _stein_solve(lu, g1[:, None] * g1 - y1[:, None] * y1)
         e1 = x1 - P1[:, 0]
         e1norm = math.sqrt(float(e1 @ e1))
         if not e1norm <= 0.5 * enorm:
@@ -676,48 +481,100 @@ def _reduced_newton(prob, x, op):
     return P, steps
 
 
-def _refine(prob: CEEProblem, P: np.ndarray, stein: np.ndarray) -> np.ndarray:
-    """One undamped full-space Newton step from P, with the residual
-    evaluated in extended precision (``np.longdouble``)."""
+def _refine(prob: CEEProblem, P: np.ndarray, op) -> np.ndarray:
+    """One undamped lifted Newton step from P whose residual is evaluated
+    in extended precision (``np.longdouble``): mixed-precision iterative
+    refinement."""
     L = np.longdouble
     G = prob.Gamma.astype(L)
     PL = P.astype(L)
     x = PL[:, 0]
     g = prob.u.astype(L) + prob.U.astype(L) @ (prob.sigma.astype(L) + G @ x)
     R = PL - G @ (PL - x[:, None] * x) @ G.T - g[:, None] * g
-    J = _newton_jacobian(prob, P, stein)
-    _, _, step, info = scipy.linalg.lapack.dgesv(J, R.astype(float).ravel(order="F"))
-    if info != 0:
-        raise SolverError("singular Jacobian in the refinement step")
-    P = P - step.reshape(prob.n, prob.n, order="F")
+    P = P - _lifted_step(prob, op, P, R.astype(float))
     return 0.5 * (P + P.T)
 
 
-def _first_column_continuation(
-    prob: CEEProblem, opts: SolveOptions
-) -> tuple[np.ndarray, int]:
-    """The default Newton path: :func:`_ramp` with Newton on the n unknowns
-    of x = Ph as the corrector (:func:`_reduced_newton`).
+def _ramp(prob: CEEProblem, opts: SolveOptions) -> tuple[np.ndarray, int]:
+    """Newton along the data ramp t: 0 -> 1 of :func:`_ramp_family`;
+    returns P at t = 1 and the Newton steps of the accepted substeps.
 
-    Each substep's P is the Stein solve of Q(x) at the corrector's x, handed
-    to full-space :func:`_newton` at the substep tolerance, so every
-    accepted substep passes the same residual test as in
-    :func:`_continuation`.  At t = 1 one full-space step with an
-    extended-precision residual (:func:`_refine`) and the final polish
-    follow.  The returned count is the n x n and full-space Newton steps of
-    accepted substeps, the refinement step and the polish steps.
+    At t = 0 the parameters vanish and P = 0 is the exact solution.  The
+    first trial step is the whole ramp, t = 1: Newton from P = 0 on the
+    problem itself.  Each substep reuses the previous solution as Newton's
+    start, with the step in t halved whenever a substep fails or leaves the
+    positive semidefinite h'Ph < 1 branch: started far away, Newton can
+    stall or land on one of the equation's other symmetric solutions, and
+    tracking the branch from t = 0 removes both failure modes.
+
+    A substep is Newton on the n unknowns of x = Ph
+    (:func:`_reduced_newton`), whose P is then handed to full-space Newton
+    through lifted steps (:func:`_newton`) at the substep tolerance.  A
+    trial at t = 1 goes on with one extended-precision refinement step
+    (:func:`_refine`) and Newton at ``opts.tol``, and passes only if a(z)
+    is then Schur as well: a non-Schur a there is a failed trial like any
+    other.  The Schur test runs at t = 1 only; an accepted substep may
+    carry a root of a(t) on the unit circle to rounding.
+
+    A trial that clips to t = 1 and fails is not run again while the
+    halved step still reaches t = 1: the problem, ``family(1.0)``, and the
+    secant start would be the same, and so would the failure; the step
+    keeps halving until it ends short of t = 1 or the ramp stalls.  The
+    returned count is the n x n and full-space Newton steps of the accepted
+    substeps, including the refinement step; failed trials are not counted.
     """
-    stein = _stein_matrix(prob.Gamma)
-    op = _first_column_operator(stein)
-
-    def corrector(trial, start, tol):
-        P, steps = _reduced_newton(trial, start[:, 0], op)
-        P, nits = _newton(trial, P, tol, _RAMP_NEWTON_MAX_ITER, stein)
-        return P, steps + nits
-
-    P, total = _ramp(prob, opts, corrector)
-    P, nits = _polish(prob, _refine(prob, P, stein), opts, stein)
-    return P, total + 1 + nits
+    # Gamma depends on sigma alone, which the ramp leaves fixed
+    op = _first_column_operator(_stein_matrix(prob.Gamma))
+    family = _ramp_family(prob)
+    # intermediate problems only seed the next warm start; they do not need
+    # the final tolerance, and grinding on a hard substep is worse than
+    # failing fast and halving the ramp step
+    sub_tol = max(opts.tol, 1e-9)
+    P = np.zeros((prob.n, prob.n))
+    P_prev = None
+    t = 0.0
+    t_prev = 0.0
+    total = 0
+    step = 1.0
+    while t < 1.0:
+        t_next = min(1.0, t + step)
+        if P_prev is not None and t > t_prev:
+            # secant predictor along the branch
+            start = P + (P - P_prev) * ((t_next - t) / (t - t_prev))
+        else:
+            start = P
+        try:
+            trial = family(t_next)
+            P_next, nits = _reduced_newton(trial, start[:, 0], op)
+            P_next, more = _newton(trial, P_next, sub_tol,
+                                   _RAMP_NEWTON_MAX_ITER, op)
+            nits += more
+            if not _on_valid_branch(P_next):
+                raise SolverError("left the PSD h'Ph < 1 branch along the ramp")
+            if t_next == 1.0:
+                P_next, more = _newton(prob, _refine(prob, P_next, op),
+                                       opts.tol, _NEWTON_MAX_ITER, op)
+                nits += 1 + more
+                if not (_on_valid_branch(P_next)
+                        and is_schur(extract_filter(prob, P_next)[0])):
+                    raise SolverError("not the minimum-phase solution")
+        except (SolverError, np.linalg.LinAlgError):
+            # LinAlgError: I - (1 - t) U is singular at this t
+            step *= 0.5
+            # a halved step that still reaches t = 1 would repeat the failed
+            # trial: the same problem from the same secant start
+            while t_next == 1.0 and t + step >= 1.0 and step >= 1e-9:
+                step *= 0.5
+            if step < 1e-9:
+                raise SolverError(
+                    f"continuation stalled at t = {t:.9f}"
+                ) from None
+            continue
+        total += nits
+        P_prev, t_prev = P, t
+        P, t = P_next, t_next
+        step = min(2.0 * step, 0.5)
+    return P, total
 
 
 def _fixed_point(
@@ -749,16 +606,14 @@ def solve_cee(prob: CEEProblem, options: Optional[SolveOptions] = None) -> CEESo
     residual) and :class:`InvalidBranchError` if the converged P has
     h'Ph >= 1.
 
-    Methods "auto" and "newton" run :func:`_first_column_continuation`:
-    Newton from P = 0 on the problem itself first, then, if that stalls or
-    lands off the PSD branch, warm-started solves along the data ramp of
-    :func:`_ramp_family`, each substep solved as Newton on the n unknowns
-    of x = Ph and checked by full-space Newton.  When that path raises
-    :class:`SolverError` or ends with a non-Schur a, the full-space ramp
-    :func:`_continuation` runs from scratch and its result, or its error,
-    is returned.  Both read only (sigma, u, U), whatever the data source.
-    ``iterations`` counts the steps of the accepted ramp substeps and of
-    the final polish only (see :class:`CEESolution`).  Method
+    Methods "auto" and "newton" run :func:`_ramp`: Newton from P = 0 on
+    the problem itself first, then, if that stalls, lands off the PSD
+    branch or ends with a non-Schur a, warm-started solves along the data
+    ramp of :func:`_ramp_family`, each substep solved as Newton on the n
+    unknowns of x = Ph and checked by full-space Newton through lifted
+    steps.  The path reads only (sigma, u, U), whatever the data source.
+    ``iterations`` counts the steps of the accepted ramp substeps only
+    (see :class:`CEESolution`).  Method
     "fixed-point" runs the plain iteration from P = 0 alone; it has no
     global convergence guarantee: the solution can be a repelling fixed
     point of the iteration map, in which case the sweep trips the
@@ -782,13 +637,7 @@ def solve_cee(prob: CEEProblem, options: Optional[SolveOptions] = None) -> CEESo
             )
         method = "fixed-point"
     else:
-        try:
-            P, its = _first_column_continuation(prob, opts)
-            fast = is_schur(extract_filter(prob, P)[0])
-        except SolverError:
-            fast = False
-        if not fast:
-            P, its = _continuation(prob, opts)
+        P, its = _ramp(prob, opts)
         method = "newton"
     a, rho = extract_filter(prob, P)
     g = g_of_P(prob, P)

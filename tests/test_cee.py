@@ -135,51 +135,28 @@ def random_newton_point(rng, n):
     return prob, 0.5 * (A + A.T)
 
 
-class TestNewtonJacobian:
-    def test_bit_identical_to_kron_formula(self):
-        rng = np.random.default_rng(8)
-        for n in range(1, 13):
-            for _ in range(20):
-                prob, P = random_newton_point(rng, n)
-                J = cee._newton_jacobian(prob, P, cee._stein_matrix(prob.Gamma))
-                assert np.array_equal(J, kron_jacobian(prob, P))
+def lifted_step(prob, P):
+    """cee._lifted_step at P for the exact residual R(P)."""
+    op = cee._first_column_operator(cee._stein_matrix(prob.Gamma))
+    return cee._lifted_step(prob, op, P, cee._residual_matrix(prob, P))
 
+
+class TestNewtonJacobian:
     def test_directional_derivative_of_residual(self):
-        # J vec(dP) is the derivative of the residual along symmetric dP;
-        # the residual is quadratic in P, so the forward difference misses
-        # it by O(eps)
+        # the lifted step d solves J d = R(P): the derivative of the
+        # residual along d is R(P) itself; the residual is quadratic in P,
+        # so the forward difference along the unit direction misses it by
+        # O(eps)
         rng = np.random.default_rng(9)
         eps = 1e-7
         for n in range(1, 9):
             for _ in range(5):
                 prob, P = random_newton_point(rng, n)
-                B = rng.standard_normal((n, n))
-                dP = 0.5 * (B + B.T)
-                J = cee._newton_jacobian(prob, P, cee._stein_matrix(prob.Gamma))
-                jd = J @ dP.ravel(order="F")
-                fd = (cee._residual_matrix(prob, P + eps * dP)
-                      - cee._residual_matrix(prob, P)).ravel(order="F") / eps
-                assert np.max(np.abs(jd - fd)) <= 1e-5 * max(1.0, np.max(np.abs(jd)))
-
-
-def reference_try_step(prob, P, R, rnorm, step, tol):
-    """The line search evaluating every trial: backtracking on ||R||_F
-    over t = 1, 1/2, ... while t > 1e-10."""
-    t = 1.0
-    while t > 1e-10:
-        Pt = P - t * step
-        Pt = 0.5 * (Pt + Pt.T)
-        Rt = cee._residual_matrix(prob, Pt)
-        rt = np.linalg.norm(Rt, "fro")
-        if rt < rnorm * (1.0 - 1e-4 * t) or rt <= tol:
-            return Pt, Rt, rt
-        t *= 0.5
-    return None
-
-
-def newton_step(prob, P, R):
-    J = cee._newton_jacobian(prob, P, cee._stein_matrix(prob.Gamma))
-    return np.linalg.solve(J, R.ravel(order="F")).reshape(prob.n, prob.n, order="F")
+                R = cee._residual_matrix(prob, P)
+                d = lifted_step(prob, P)
+                size = np.linalg.norm(d)
+                fd = (cee._residual_matrix(prob, P + eps * d / size) - R) * (size / eps)
+                assert np.max(np.abs(fd - R)) <= 1e-5 * size * max(1.0, np.max(np.abs(R)))
 
 
 def corpus_slice(seed=20261020, per_degree=3):
@@ -192,222 +169,87 @@ def corpus_slice(seed=20261020, per_degree=3):
 
 
 class TestLineSearch:
-    # bound here, so that a test spying on cee._try_step still calls it
-    try_step = staticmethod(cee._try_step)
-
-    def assert_same(self, prob, P, R, rnorm, step, tol):
-        """_try_step returns byte-identical (P, R, rnorm) to the reference,
-        or None exactly when it does; returns the reference's outcome."""
-        ref = reference_try_step(prob, P, R, rnorm, step, tol)
-        got = self.try_step(prob, P, R, rnorm, step, tol)
-        if ref is None:
-            assert got is None
-        else:
-            assert got is not None
-            for x, y in zip(got, ref):
-                assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
-        return ref
-
     def test_quadratic_identity(self):
-        # R(P - t S) = (1 - t) R(P) + t R(P - S) - t (1 - t) (w w' - v v')
-        # with S = sym(step), w = Gamma S h, v = U w; the floor stays below
-        # every directly evaluated trial norm
+        # the first-column residual r(x) = x - F(x) is quadratic in x, so
+        # along the Newton step d, r(x - t d) = (1 - t) r(x) - t^2 q with
+        # q = K vec(M d d'M' - Gamma d d'Gamma'): the model the first-column
+        # Newton backtracks on, at all 34 of its trial lengths
         rng = np.random.default_rng(41)
         for n in range(1, 13):
             for _ in range(5):
-                prob, P = random_newton_point(rng, n)
-                step = rng.standard_normal((n, n))
-                S = 0.5 * (step + step.T)
-                w = prob.Gamma @ S[:, 0]
-                v = prob.U @ w
-                Q = np.outer(w, w) - np.outer(v, v)
-                R0 = cee._residual_matrix(prob, P)
-                R1 = cee._residual_matrix(prob, P - S)
-                floor = cee._residual_floor(prob, P, R0, np.linalg.norm(R0),
-                                            step, R1, np.linalg.norm(R1))
-                scale = np.linalg.norm(R0) + np.linalg.norm(R1) + np.linalg.norm(Q)
+                prob, _ = random_newton_point(rng, n)
+                _, K, _ = cee._first_column_operator(cee._stein_matrix(prob.Gamma))
+                x = rng.standard_normal(n)
+                _, _, Bg, By, F = first_column_terms(prob, K, x)
+                r0 = x - F
+                M = prob.U @ prob.Gamma
+                d = cee._reduced_step(Bg, By, M, prob.Gamma, r0)
+                Md = M @ d
+                Gd = prob.Gamma @ d
+                q = (K @ Md).reshape(n, n) @ Md - (K @ Gd).reshape(n, n) @ Gd
+                scale = np.linalg.norm(r0) + np.linalg.norm(q) + np.linalg.norm(x)
                 for t in (2.0 ** -k for k in range(34)):
-                    Rt = cee._residual_matrix(prob, 0.5 * ((P - t * step)
-                                                           + (P - t * step).T))
-                    model = (1.0 - t) * R0 + t * R1 - t * (1.0 - t) * Q
-                    assert np.linalg.norm(Rt - model) <= 1e-12 * scale
-                    assert floor(t) <= np.linalg.norm(Rt)
-
-    def test_same_decisions_on_newton_steps(self, monkeypatch):
-        outcomes = {"accepted": 0, "failed": 0}
-
-        def spy(prob, P, R, rnorm, step, tol):
-            ref = self.assert_same(prob, P, R, rnorm, step, tol)
-            outcomes["accepted" if ref is not None else "failed"] += 1
-            return ref
-
-        monkeypatch.setattr(cee, "_try_step", spy)
-        # the full-space ramp, which solve_cee runs as its fallback
-        for prob in corpus_slice():
-            cee._continuation(prob, SolveOptions())
-        # the slice reaches both outcomes, including searches that fail
-        assert outcomes["accepted"] > 100 and outcomes["failed"] > 0
-
-    def test_same_decisions_when_every_trial_fails(self):
-        # the reversed Newton step is an ascent direction: no trial down
-        # to t = 2^-33 decreases the residual enough
-        rng = np.random.default_rng(42)
-        for n in range(1, 13):
-            for _ in range(5):
-                prob, P = random_newton_point(rng, n)
-                R = cee._residual_matrix(prob, P)
-                rnorm = np.linalg.norm(R)
-                ref = self.assert_same(prob, P, R, rnorm,
-                                       -newton_step(prob, P, R), 1e-12)
-                assert ref is None
-                self.assert_same(prob, P, R, rnorm,
-                                 rng.standard_normal((n, n)), 1e-12)
-
-    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
-    def test_same_decisions_near_convergence(self, tol):
-        rng = np.random.default_rng(43)
-        for prob in corpus_slice(seed=44, per_degree=2):
-            n = prob.n
-            Pstar = solve_cee(prob).P
-            for _ in range(3):
-                E = rng.standard_normal((n, n))
-                P = Pstar + 1e-11 * (E + E.T)
-                R = cee._residual_matrix(prob, P)
-                rnorm = np.linalg.norm(R)
-                assert 1e-12 < rnorm < 1e-8
-                for step in (newton_step(prob, P, R),
-                             -newton_step(prob, P, R),
-                             1e-10 * rng.standard_normal((n, n))):
-                    self.assert_same(prob, P, R, rnorm, step, tol)
-
-    def test_same_decisions_on_nonfinite_steps(self):
-        rng = np.random.default_rng(45)
-        prob, P = random_newton_point(rng, 4)
-        R = cee._residual_matrix(prob, P)
-        rnorm = np.linalg.norm(R)
-        for bad in (np.nan, np.inf, -np.inf):
-            step = newton_step(prob, P, R)
-            step[1, 2] = bad
-            with np.errstate(all="ignore"):
-                assert self.assert_same(prob, P, R, rnorm, step, 1e-12) is None
-        huge = 1e300 * rng.standard_normal((4, 4))
-        with np.errstate(all="ignore"):
-            self.assert_same(prob, P, R, rnorm, huge, 1e-12)
-
-    def test_fewer_residual_evaluations(self, monkeypatch):
-        # evaluating every trial costs about 5.7 residuals per Jacobian on
-        # this kind of data
-        counts = {"residual": 0, "jacobian": 0}
-
-        def counted(name, fn):
-            def wrapper(*args):
-                counts[name] += 1
-                return fn(*args)
-            return wrapper
-
-        monkeypatch.setattr(cee, "_residual_matrix",
-                            counted("residual", cee._residual_matrix))
-        monkeypatch.setattr(cee, "_newton_jacobian",
-                            counted("jacobian", cee._newton_jacobian))
-        # the full-space ramp, which solve_cee runs as its fallback
-        for prob in corpus_slice():
-            cee._continuation(prob, SolveOptions())
-        assert counts["residual"] < 2.5 * counts["jacobian"]
+                    xt = x - t * d
+                    rt = xt - first_column_terms(prob, K, xt)[4]
+                    model = (1.0 - t) * r0 - t * t * q
+                    assert np.linalg.norm(rt - model) <= 1e-12 * scale
 
 
-def reference_continuation(prob, opts):
-    """The continuation ramp re-running every trial: after a failed trial
-    it halves the step once and tries t + step, which repeats a failed
-    t = 1 trial while the halved step still reaches t = 1."""
-    family = cee._ramp_family(prob)
-    stein = cee._stein_matrix(prob.Gamma)
-    sub_tol = max(opts.tol, 1e-9)
-    P = np.zeros((prob.n, prob.n))
-    P_prev = None
-    t = 0.0
-    t_prev = 0.0
-    total = 0
-    step = 1.0
-    while t < 1.0:
-        t_next = min(1.0, t + step)
-        if P_prev is not None and t > t_prev:
-            start = P + (P - P_prev) * ((t_next - t) / (t - t_prev))
-        else:
-            start = P
-        try:
-            P_next, nits = cee._newton(
-                family(t_next), start, sub_tol, cee._RAMP_NEWTON_MAX_ITER, stein
-            )
-            if not cee._on_valid_branch(P_next):
-                raise SolverError("left the PSD h'Ph < 1 branch along the ramp")
-        except (SolverError, np.linalg.LinAlgError):
-            step *= 0.5
-            if step < 1e-9:
-                raise SolverError(
-                    f"continuation stalled at t = {t:.9f}"
-                ) from None
-            continue
-        total += nits
-        P_prev, t_prev = P, t
-        P, t = P_next, t_next
-        step = min(2.0 * step, 0.5)
-    P, nits = cee._newton(prob, P, opts.tol, cee._NEWTON_MAX_ITER, stein)
-    total += nits
-    if not cee._on_valid_branch(P):
-        raise SolverError("continuation ended off the PSD h'Ph < 1 branch")
-    return P, total
+def ramp_trials(monkeypatch):
+    """A list that collects the t of every continuation trial solve_cee
+    runs from now on."""
+    ts = []
+    ramp_family = cee._ramp_family
 
+    def spy(prob):
+        family = ramp_family(prob)
 
-def known_stall():
-    """Request 111 of the benchmark's corpus pool at seed 44: the 112th
-    draw from rng [44, 2], n = 8, which stalls close to t = 1."""
-    rng = np.random.default_rng([44, 2])
-    for k in range(112):
-        _, sigma, _, _, c = forward_instance(rng, 2 + k % 7, 0.95)
-    return problem_from_covariances(c, sigma)
+        def trial(t):
+            ts.append(t)
+            return family(t)
 
+        return trial
 
-def ramp_outcome(continuation, prob):
-    """(P bytes, iterations), or the error text of a failed solve."""
-    try:
-        P, its = continuation(prob, SolveOptions())
-    except SolverError as exc:
-        return str(exc)
-    return P.tobytes(), its
+    monkeypatch.setattr(cee, "_ramp_family", spy)
+    return ts
 
 
 class TestContinuation:
-    def test_same_results_as_reference(self):
-        # P bytes and iteration counts, or the error text of a stall
-        for prob in corpus_slice() + [known_stall()]:
-            got = ramp_outcome(cee._continuation, prob)
-            assert got == ramp_outcome(reference_continuation, prob)
-        assert got == "continuation stalled at t = 0.999625849"
-
     def test_no_newton_run_repeats(self, monkeypatch):
-        # a call with the same problem object, start bytes, tolerance and
-        # budget as the call before it repeats a deterministic computation
+        # a corrector call with the same problem object and start bytes as
+        # the call before it repeats a deterministic computation
         calls = []
-        newton = cee._newton
+        reduced_newton = cee._reduced_newton
 
-        def spy(prob, P0, tol, max_iter, stein):
-            calls.append((prob, P0.tobytes(), tol, max_iter))
-            return newton(prob, P0, tol, max_iter, stein)
+        def spy(prob, x, op):
+            calls.append((prob, x.tobytes()))
+            return reduced_newton(prob, x, op)
 
-        monkeypatch.setattr(cee, "_newton", spy)
-
-        def repeats(continuation):
-            count = 0
-            for prob in corpus_slice() + [known_stall()]:
-                calls.clear()
-                ramp_outcome(continuation, prob)
-                count += sum(a[0] is b[0] and a[1:] == b[1:]
-                             for a, b in zip(calls, calls[1:]))
-            return count
-
-        # the problems reach the case: re-running every trial repeats some
-        assert repeats(reference_continuation) > 0
-        assert repeats(cee._continuation) == 0
+        monkeypatch.setattr(cee, "_reduced_newton", spy)
+        ts = ramp_trials(monkeypatch)
+        repeats = skips = 0
+        # benchmark corpus seed 44 request 111 (n = 8) fails many trials
+        # close to t = 1
+        for prob in corpus_slice() + [perfbench_request(44, 111)[1]]:
+            calls.clear()
+            ts.clear()
+            solve_outcome(prob)
+            repeats += sum(a[0] is b[0] and a[1] == b[1]
+                           for a, b in zip(calls, calls[1:]))
+            # replay the ramp's step from the trials: a failed t = 1 trial
+            # whose halved step still reaches t = 1 would be run again
+            # without the skip
+            base, step = 0.0, 1.0
+            for t, t_after in zip(ts, ts[1:]):
+                if t_after > t:
+                    base, step = t, min(2.0 * step, 0.5)
+                    continue
+                step *= 0.5
+                skips += t == 1.0 and base + step >= 1.0
+                step = t_after - base
+        assert repeats == 0
+        # the problems reach the case
+        assert skips > 0
 
 
 @st.composite
@@ -447,8 +289,8 @@ class TestFirstColumn:
         G = prob.Gamma
         lu, K, _ = cee._first_column_operator(cee._stein_matrix(G))
         g, y, _, _, F = first_column_terms(prob, K, x)
-        P = cee._stein_solve(lu, g, y)
         Q = np.outer(g, g) - np.outer(y, y)
+        P = cee._stein_solve(lu, Q)
         assert np.array_equal(P, P.T)
         scale = (1.0 + np.linalg.norm(G) ** 2) * np.linalg.norm(P) + np.linalg.norm(Q)
         eps = np.finfo(float).eps
@@ -470,7 +312,7 @@ class TestFirstColumn:
         scale = 1.0 + np.linalg.norm(Pstar)
         cond = stein_cond(prob)
         assert np.linalg.norm(x - F) <= 1e-13 * cond * scale
-        P = cee._stein_solve(lu, g, y)
+        P = cee._stein_solve(lu, np.outer(g, g) - np.outer(y, y))
         assert cee_residual(prob, P) <= 1e-13 * cond * scale
         assert np.linalg.norm(P - Pstar) <= 1e-12 * cond * scale
 
@@ -487,8 +329,8 @@ class TestFirstColumn:
         assume(np.linalg.cond(stein) <= 1e4)
         lu, K, _ = cee._first_column_operator(stein)
         g0, y0, _, _, _ = first_column_terms(prob, K, x0)
-        P = cee._stein_solve(lu, g0, y0)
-        J = cee._newton_jacobian(prob, P, stein)
+        P = cee._stein_solve(lu, np.outer(g0, g0) - np.outer(y0, y0))
+        J = kron_jacobian(prob, P)
         assume(np.linalg.cond(J) <= 1e8)
         full = P - np.linalg.solve(J, cee._residual_matrix(prob, P).ravel(order="F")
                                    ).reshape(n, n, order="F")
@@ -504,14 +346,22 @@ class TestFirstColumn:
         assert np.linalg.norm(lifted - full) <= 1e-8 * np.linalg.norm(full)
         assert np.linalg.norm(x - d - full[:, 0]) <= 1e-8 * np.linalg.norm(full)
 
-    def test_too_ill_conditioned_stein_raises(self):
-        # Gamma with eigenvalues near the unit circle makes I - Gamma (x) Gamma
-        # nearly singular: the first-column form refuses, typed
-        sigma = reflection_to_tail(np.full(20, 0.95))
-        stein = cee._stein_matrix(cee.companion(sigma))
-        assert np.linalg.cond(stein) > cee._FIRST_COLUMN_MAX_COND
-        with pytest.raises(SolverError, match="too ill-conditioned"):
-            cee._first_column_operator(stein)
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(first_column_points(), st.integers(0, 2**32 - 1))
+    def test_lifted_step_is_the_full_step(self, point, seed):
+        # at any symmetric P, not only at P = P(x), the lifted step solves
+        # J d = R(P) with the dense n^2 x n^2 Jacobian
+        prob, _ = point
+        n = prob.n
+        assume(stein_cond(prob) <= 1e4)
+        A = np.random.default_rng(seed).standard_normal((n, n))
+        P = 0.25 * (A + A.T)
+        J = kron_jacobian(prob, P)
+        assume(np.linalg.cond(J) <= 1e8)
+        full = np.linalg.solve(J, cee._residual_matrix(prob, P).ravel(order="F")
+                               ).reshape(n, n, order="F")
+        d = lifted_step(prob, P)
+        assert np.linalg.norm(d - full) <= 1e-8 * np.linalg.norm(full)
 
 
 def perfbench_request(seed, request):
@@ -533,45 +383,57 @@ def solve_outcome(prob):
 
 
 class TestFallback:
-    def test_failed_fast_path_returns_the_full_space_result(self, monkeypatch):
-        calls = []
+    """Problems on which the minimum-phase test on a decides the solve,
+    which a second, full-space ramp used to rerun."""
 
-        def fail(prob, opts):
-            calls.append(prob)
-            raise SolverError("forced")
+    def test_non_schur_landing_at_t1_is_a_failed_trial(self, monkeypatch):
+        # the problem solves at its first trial, t = 1; forcing the Schur
+        # test to fail there makes it a failed trial, and the ramp halves
+        # its step to t = 1/2 before it reaches t = 1 again
+        prob = corpus_slice(per_degree=1)[1]
+        ts = ramp_trials(monkeypatch)
+        solve_outcome(prob)
+        assert ts == [1.0]
+        schur_calls = []
 
-        monkeypatch.setattr(cee, "_first_column_continuation", fail)
-        problems = corpus_slice(per_degree=1) + [known_stall()]
-        for prob in problems:
-            assert solve_outcome(prob) == ramp_outcome(cee._continuation, prob)
-        assert calls == problems
-        assert solve_outcome(known_stall()) == "continuation stalled at t = 0.999625849"
+        def is_schur(a):
+            schur_calls.append(a)
+            return len(schur_calls) > 1 and cee_is_schur(a)
 
-    def test_non_schur_fast_path_returns_the_full_space_result(self, monkeypatch):
-        # Gamma e_2 = e_1, so moving P[1, 0] by s moves a by s (I - U) e_1
-        # and leaves h'Ph; a_1 = n + 1 is more than a sum of n roots inside
-        # the unit circle can be, so a(z) is then not Schur
-        prob = corpus_slice(per_degree=1)[3]
-        n = prob.n
-        P, _ = cee._continuation(prob, SolveOptions())
-        a, _ = extract_filter(prob, P)
-        s = (n + 1 - a[0]) / (1.0 - prob.U[0, 0])
-        bad = P.copy()
-        bad[1, 0] += s
-        bad[0, 1] += s
-        a_bad, _ = extract_filter(prob, bad)
-        assert a_bad[0] == pytest.approx(n + 1) and not is_schur(a_bad)
-        monkeypatch.setattr(cee, "_first_column_continuation",
-                            lambda prob, opts: (bad, 7))
-        assert solve_outcome(prob) == ramp_outcome(cee._continuation, prob)
+        cee_is_schur = cee.is_schur
+        monkeypatch.setattr(cee, "is_schur", is_schur)
+        ts.clear()
+        sol = solve_cee(prob)
+        assert ts == [1.0, 0.5, 1.0]
+        assert sol.a_is_schur and len(schur_calls) == 3
 
     def test_fragile_request_recovers_a(self):
-        # perfbench corpus seed 2002 request 615 (n = 8): the first-column
-        # path ends with a non-Schur a, and the fallback recovers a
+        # perfbench corpus seed 2002 request 615 (n = 8): a t = 1 landing
+        # on an exact solution with a non-Schur a fails the trial, and the
+        # ramp goes on to recover a
         a, prob = perfbench_request(2002, 615)
         sol = solve_cee(prob, SolveOptions(max_iter=20_000))
         assert prob.n == 8 and sol.a_is_schur
         assert np.max(np.abs(sol.a - a.coeffs)) <= 1e-6
+
+
+class TestEnvelope:
+    def test_large_n_table_cases(self):
+        # the six large-n cases of the ROADMAP's table: forward_instance on
+        # default_rng(5), three draws at n = 30, r = 0.8, then three at
+        # n = 20, r = 0.95; n = 30 #0 and #1 (Toeplitz lambda_min 3.3e-9 and
+        # 1.1e-6) may fail typed, but nothing succeeds with a wrong a
+        rng = np.random.default_rng(5)
+        strata = [(30, 0.8)] * 3 + [(20, 0.95)] * 3
+        for k, (n, r) in enumerate(strata):
+            a, sigma, _, _, c = forward_instance(rng, n, r)
+            try:
+                sol = solve_cee(problem_from_covariances(c, sigma))
+            except SolverError:
+                assert k in (0, 1)
+                continue
+            assert sol.a_is_schur
+            assert np.max(np.abs(sol.a - a.coeffs)) <= 1e-6
 
 
 class TestSolve:
@@ -819,20 +681,16 @@ class TestUniversality:
         for fn in (
             cee.solve_cee,
             cee._fixed_point,
-            cee._continuation,
             cee._ramp,
-            cee._polish,
-            cee._first_column_continuation,
             cee._first_column_operator,
             cee._stein_solve,
             cee._reduced_step,
+            cee._lifted_step,
             cee._reduced_newton,
             cee._refine,
             cee._ramp_family,
             cee._newton,
-            cee._try_step,
             cee._stein_matrix,
-            cee._newton_jacobian,
             cee._residual_matrix,
             cee.fixed_point_step,
             cee.g_of_P,

@@ -46,17 +46,15 @@ with the same cli digest write byte-identical solution files and print the
 same messages.
 
 Each section also prints a work line: how many residuals
-(``cee._residual_matrix``) it evaluated, how many full-space Newton
-Jacobians (``cee._newton_jacobian``) it assembled and how many n x n
-first-column Newton steps (``cee._reduced_step``) it took, both counting
-the iterations of failed continuation substeps too, how many full-space
-line searches (``cee._try_step``) failed, how many solves fell back to the
-full-space ramp (``cee._continuation``), how many continuation ramp trials
-(``cee._ramp``) ran and how many of them failed, and how many Jacobians
-and n x n steps the failed trials took; failed trials at t = 1, on the
-problem itself, are also counted on their own.  The counts come from
-wrapping those module functions and ``cee._ramp_family`` here; the
-wrappers change no result.
+(``cee._residual_matrix``) it evaluated, how many lifted full-space Newton
+steps (``cee._lifted_step``) and how many n x n solves with the
+first-column Jacobian (``cee._reduced_step``, which each lifted step also
+calls once) it took, both counting the iterations of failed continuation
+trials too, how many continuation ramp trials (``cee._ramp``) ran and how
+many of them failed, and how many lifted steps and n x n solves the failed
+trials took; failed trials at t = 1, on the problem itself, are also
+counted on their own.  The counts come from wrapping those module
+functions and ``cee._ramp_family`` here; the wrappers change no result.
 
 The cli section also prints a validation line: how many documents
 (problems and solutions, read or written) were validated, how many the
@@ -73,7 +71,10 @@ benchmark's ``large_n`` workload (n in {12, 16, 20}, r in {0.5, 0.8,
 0.95}) for each of the seeds 1-3, 27 solves with default options.  It
 prints one line per instance (the outcome with its iteration count and
 |a err|, or the error text), a sha256 over P bytes, method, iterations and
-error texts, the elapsed time and the work line.
+error texts, the elapsed time and the work line.  Then it solves the six
+cases of the ROADMAP's large-n table (``default_rng(5)``: three draws at
+n = 30, r = 0.8, then three at n = 20, r = 0.95) and prints the outcome,
+|a err| and seconds of each, with their own work line.
 
 ``--perfbench-seeds S1,S2,...`` runs only the benchmark's ``corpus``
 pools instead: for each seed, the 770 requests of a 55 s run (rng
@@ -151,20 +152,18 @@ LARGE_N_STRATA = tuple((n, r) for r in (0.5, 0.8, 0.95) for n in (12, 16, 20))
 
 @contextlib.contextmanager
 def counted_work(section: str):
-    """Count residual evaluations, full-space Jacobian assemblies, n x n
-    steps, failed line searches, continuation ramp trials and fallbacks to
-    the full-space ramp inside the block, then print them as the section's
-    work line."""
-    counts = {"residuals": 0, "jacobians": 0, "n×n steps": 0,
-              "failed line searches": 0, "fallbacks": 0,
+    """Count residual evaluations, lifted steps, n x n solves and
+    continuation ramp trials inside the block, then print them as the
+    section's work line."""
+    counts = {"residuals": 0, "lifted steps": 0, "n×n steps": 0,
               "ramp trials": 0, "failed trials": 0, "failed trials at t=1": 0,
-              "jacobians of failed trials": 0,
-              "jacobians of failed trials at t=1": 0,
+              "lifted steps of failed trials": 0,
+              "lifted steps of failed trials at t=1": 0,
               "n×n steps of failed trials": 0}
     originals = {name: getattr(cee, name) for name in
-                 ("_residual_matrix", "_newton_jacobian", "_reduced_step",
-                  "_try_step", "_continuation", "_ramp", "_ramp_family")}
-    trials = []  # the current ramp's trials as (t, jacobians, n×n steps at start)
+                 ("_residual_matrix", "_lifted_step", "_reduced_step",
+                  "_ramp", "_ramp_family")}
+    trials = []  # the current ramp's trials as (t, lifted steps, n×n steps at start)
 
     def counter(name, key):
         def counted(*args):
@@ -172,17 +171,12 @@ def counted_work(section: str):
             return originals[name](*args)
         return counted
 
-    def try_step(*args):
-        moved = originals["_try_step"](*args)
-        counts["failed line searches"] += moved is None
-        return moved
-
     def ramp_family(*args):
         family = originals["_ramp_family"](*args)
 
         def trial(t):
             # the ramp builds its problem once per trial
-            trials.append((t, counts["jacobians"], counts["n×n steps"]))
+            trials.append((t, counts["lifted steps"], counts["n×n steps"]))
             return family(t)
 
         return trial
@@ -191,18 +185,19 @@ def counted_work(section: str):
         """An accepted trial moves the ramp forward, so a trial failed when
         the next one does not go beyond it; the last trial failed when the
         ramp stalled, and otherwise ended the ramp."""
-        last = (-np.inf if stalled else np.inf, counts["jacobians"],
+        last = (-np.inf if stalled else np.inf, counts["lifted steps"],
                 counts["n×n steps"])
-        for (t, jac, steps), (t_after, jac_end, steps_end) in zip(
+        for (t, lifted, steps), (t_after, lifted_end, steps_end) in zip(
                 trials, trials[1:] + [last]):
             counts["ramp trials"] += 1
             if t_after <= t:
                 counts["failed trials"] += 1
-                counts["jacobians of failed trials"] += jac_end - jac
+                counts["lifted steps of failed trials"] += lifted_end - lifted
                 counts["n×n steps of failed trials"] += steps_end - steps
                 if t == 1.0:
                     counts["failed trials at t=1"] += 1
-                    counts["jacobians of failed trials at t=1"] += jac_end - jac
+                    counts["lifted steps of failed trials at t=1"] += (
+                        lifted_end - lifted)
         trials.clear()
 
     def ramp(*args):
@@ -216,11 +211,8 @@ def counted_work(section: str):
             tally(stalled)
 
     cee._residual_matrix = counter("_residual_matrix", "residuals")
-    cee._newton_jacobian = counter("_newton_jacobian", "jacobians")
+    cee._lifted_step = counter("_lifted_step", "lifted steps")
     cee._reduced_step = counter("_reduced_step", "n×n steps")
-    # solve_cee runs the full-space ramp only after the fast path failed
-    cee._continuation = counter("_continuation", "fallbacks")
-    cee._try_step = try_step
     cee._ramp_family = ramp_family
     cee._ramp = ramp
     try:
@@ -515,6 +507,32 @@ def large_n_section() -> None:
     print(f"large_n sha256 {digest.hexdigest()}")
 
 
+def large_n_table_problems():
+    """(case, a, problem) for the six cases of the ROADMAP's large-n table:
+    ``forward_instance`` on ``default_rng(5)``, three draws at n = 30,
+    r = 0.8, then three at n = 20, r = 0.95."""
+    rng = np.random.default_rng(5)
+    for n, r in ((30, 0.8), (20, 0.95)):
+        for k in range(3):
+            a, sigma, _, _, c = forward_instance(rng, n, r)
+            yield f"n={n} r={r} #{k}", a, problem_from_covariances(c, sigma)
+
+
+def large_n_table_section() -> None:
+    for case, a, prob in large_n_table_problems():
+        t0 = time.perf_counter()
+        try:
+            sol = solve_cee(prob)
+        except SolverError as exc:
+            outcome = f"error {type(exc).__name__}: {exc}"
+        else:
+            schur = "Schur" if sol.a_is_schur else "not Schur"
+            outcome = (f"ok {schur}  "
+                       f"|a err| {np.max(np.abs(sol.a - a.coeffs)):.3e}")
+        print(f"large_n table {case}  {outcome}  "
+              f"{time.perf_counter() - t0:.2f} s")
+
+
 def perfbench_problems(seed):
     """(request, n, a, rho, problem) for the pool of the benchmark's
     ``corpus`` workload at ``seed``: rng ``[seed, 2]``, n = 2..8 interleaved,
@@ -560,6 +578,8 @@ def main() -> int:
     if "--large-n" in sys.argv[1:]:
         with counted_work("large_n"):
             large_n_section()
+        with counted_work("large_n table"):
+            large_n_table_section()
         return 0
     if "--perfbench-seeds" in sys.argv[1:]:
         seeds = sys.argv[sys.argv.index("--perfbench-seeds") + 1]
