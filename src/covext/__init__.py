@@ -62,6 +62,7 @@ from .polyalg import (  # noqa: F401
     reflection_to_tail,
     solve_b,
     spectral_density,
+    tail_to_reflection,
     unit_variance_rho,
 )
 from .realization import (  # noqa: F401

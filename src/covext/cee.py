@@ -27,7 +27,12 @@ import scipy.linalg
 
 from .covdata import CovarianceSequence, CovParams, build_cov_params
 from .errors import DataError, InvalidBranchError, SolverError
-from .polyalg import SchurPolynomial, is_schur, reflection_to_tail
+from .polyalg import (
+    SchurPolynomial,
+    is_schur,
+    reflection_to_tail,
+    tail_to_reflection,
+)
 
 
 # fixed-point steps before the divergence guard may fire
@@ -35,6 +40,11 @@ _GRACE = 10
 # Newton iteration caps: the final polish, and each continuation substep
 _NEWTON_MAX_ITER = 100
 _RAMP_NEWTON_MAX_ITER = 25
+# the data ramp stalls, and the numerator path gives up, once its step in
+# t or s would fall below these (see "Numerator continuation" in
+# notes/decisions.md)
+_RAMP_MIN_STEP = 1e-9
+_SIGMA_MIN_STEP = 0.01
 # margin from +-1 of the positive-degree grid's reflection coefficients
 _GRID_EPS = 0.05
 _EPS = float(np.finfo(float).eps)
@@ -117,8 +127,11 @@ class CEESolution:
 
     ``iterations`` is the fixed-point step count for method "fixed-point".
     For "newton" it counts the n x n first-column Newton steps and the
-    lifted full-space Newton steps of the accepted continuation substeps,
-    the t = 1 refinement step included, not those of failed trials.
+    lifted full-space Newton steps of the accepted trials of the
+    continuation that delivered P, the final refinement step included: the
+    first trial, the numerator path (its data ramp at sigma = z^n
+    included) or the data-ramp fallback.  Failed trials, and a numerator
+    path that gave up, are not counted.
     """
 
     P: np.ndarray
@@ -140,11 +153,12 @@ class CEESolution:
 class SolveOptions:
     """Solver controls.
 
-    method "auto" (the default) and "newton" name the same path: one
-    continuation in the data parameters whose first trial step is Newton
-    from P = 0 on the problem itself; the step halves while a trial stalls,
-    lands off the PSD h'Ph < 1 branch or, at t = 1, ends with a non-Schur
-    a (see :func:`solve_cee`).
+    method "auto" (the default) and "newton" name the same path: Newton
+    from P = 0 on the problem itself, then, if that fails, continuation to
+    it in the numerator sigma from sigma = z^n, and last the continuation
+    in the data parameters; a continuation halves its step while a trial
+    stalls, lands off the PSD h'Ph < 1 branch or, on the problem itself,
+    ends with a non-Schur a (see :func:`solve_cee`).
     "fixed-point" runs the paper's plain iteration from P = 0 alone, with a budget of
     ``max_iter`` steps; ``divergence_guard`` aborts that sweep once
     h'Ph >= 1 after the first ``_GRACE`` steps, appropriate when the data
@@ -495,47 +509,71 @@ def _refine(prob: CEEProblem, P: np.ndarray, op) -> np.ndarray:
     return 0.5 * (P + P.T)
 
 
-def _ramp(prob: CEEProblem, opts: SolveOptions) -> tuple[np.ndarray, int]:
-    """Newton along the data ramp t: 0 -> 1 of :func:`_ramp_family`;
-    returns P at t = 1 and the Newton steps of the accepted substeps.
-
-    At t = 0 the parameters vanish and P = 0 is the exact solution.  The
-    first trial step is the whole ramp, t = 1: Newton from P = 0 on the
-    problem itself.  Each substep reuses the previous solution as Newton's
-    start, with the step in t halved whenever a substep fails or leaves the
-    positive semidefinite h'Ph < 1 branch: started far away, Newton can
-    stall or land on one of the equation's other symmetric solutions, and
-    tracking the branch from t = 0 removes both failure modes.
-
-    A substep is Newton on the n unknowns of x = Ph
-    (:func:`_reduced_newton`), whose P is then handed to full-space Newton
-    through lifted steps (:func:`_newton`) at the substep tolerance.  A
-    trial at t = 1 goes on with one extended-precision refinement step
-    (:func:`_refine`) and Newton at ``opts.tol``, and passes only if a(z)
-    is then Schur as well: a non-Schur a there is a failed trial like any
-    other.  The Schur test runs at t = 1 only; an accepted substep may
-    carry a root of a(t) on the unit circle to rounding.
-
-    A trial that clips to t = 1 and fails is not run again while the
-    halved step still reaches t = 1: the problem, ``family(1.0)``, and the
-    secant start would be the same, and so would the failure; the step
-    keeps halving until it ends short of t = 1 or the ramp stalls.  The
-    returned count is the n x n and full-space Newton steps of the accepted
-    substeps, including the refinement step; failed trials are not counted.
+def _sigma_family(prob: CEEProblem):
+    """Path s -> CEEProblem(s) with ``prob``'s (u, U) and the numerator
+    sigma(s) = reflection_to_tail(s gamma), gamma the reflection coefficients
+    of ``prob.sigma``: from sigma = z^n at s = 0 to ``prob`` itself at
+    s = 1.  Every sigma(s) is Schur, so for positive data the PSD h'Ph < 1
+    solution exists, is unique and moves smoothly all along (Byrnes, Gusev
+    & Lindquist, 1998); building a sigma(s) raises :class:`DataError` if
+    rounding puts it on the unit circle.
     """
-    # Gamma depends on sigma alone, which the ramp leaves fixed
-    op = _first_column_operator(_stein_matrix(prob.Gamma))
-    family = _ramp_family(prob)
+    gammas = tail_to_reflection(prob.sigma)
+
+    def family(s: float) -> CEEProblem:
+        if s == 1.0:
+            return prob
+        return CEEProblem(sigma=reflection_to_tail(s * gammas), u=prob.u, U=prob.U)
+
+    return family
+
+
+def _operator(prob: CEEProblem):
+    """:func:`_first_column_operator` of ``prob``'s Gamma."""
+    return _first_column_operator(_stein_matrix(prob.Gamma))
+
+
+def _continuation(family, operator, target: CEEProblem, tol: float,
+                  P: np.ndarray, step: float, min_step: float):
+    """Newton along the path s -> ``family(s)``, s: ``0 -> 1``, from the
+    solution ``P`` of ``family(0)`` with first step ``step``; returns P at
+    s = 1 and the Newton steps of the accepted trials.
+
+    Each trial reuses the previous solution as Newton's start, through a
+    secant predictor once there are two, with the step in s halved whenever
+    a trial fails or leaves the positive semidefinite h'Ph < 1 branch, and
+    doubled (up to 1/2) after a success: started far away, Newton can stall
+    or land on one of the equation's other symmetric solutions, and
+    tracking the branch from s = 0 removes both failure modes.  The path
+    stalls, raising :class:`SolverError`, once the step falls below
+    ``min_step``.
+
+    A trial is Newton on the n unknowns of x = Ph (:func:`_reduced_newton`)
+    with the first-column operator ``operator(problem)``, whose P is then
+    handed to full-space Newton through lifted steps (:func:`_newton`) at
+    the substep tolerance.  A trial on ``target`` goes on with one
+    extended-precision refinement step (:func:`_refine`) and Newton at
+    ``tol``, and passes only if a(z) is then Schur as well: a non-Schur a
+    there is a failed trial like any other.  The Schur test runs on
+    ``target`` only; an accepted trial elsewhere may carry a root of a on
+    the unit circle to rounding.  A problem that fails to build
+    (:class:`DataError`, or a singular solve in :func:`_ramp_family`) is a
+    failed trial too.
+
+    A trial that clips to s = 1 and fails is not run again while the halved
+    step still reaches s = 1: the problem, ``family(1.0)``, and the secant
+    start would be the same, and so would the failure; the step keeps
+    halving until it ends short of s = 1 or the path stalls.  Failed trials
+    are not counted in the returned steps.
+    """
     # intermediate problems only seed the next warm start; they do not need
     # the final tolerance, and grinding on a hard substep is worse than
-    # failing fast and halving the ramp step
-    sub_tol = max(opts.tol, 1e-9)
-    P = np.zeros((prob.n, prob.n))
+    # failing fast and halving the step
+    sub_tol = max(tol, 1e-9)
     P_prev = None
     t = 0.0
     t_prev = 0.0
     total = 0
-    step = 1.0
     while t < 1.0:
         t_next = min(1.0, t + step)
         if P_prev is not None and t > t_prev:
@@ -545,27 +583,29 @@ def _ramp(prob: CEEProblem, opts: SolveOptions) -> tuple[np.ndarray, int]:
             start = P
         try:
             trial = family(t_next)
+            op = operator(trial)
             P_next, nits = _reduced_newton(trial, start[:, 0], op)
             P_next, more = _newton(trial, P_next, sub_tol,
                                    _RAMP_NEWTON_MAX_ITER, op)
             nits += more
             if not _on_valid_branch(P_next):
                 raise SolverError("left the PSD h'Ph < 1 branch along the ramp")
-            if t_next == 1.0:
-                P_next, more = _newton(prob, _refine(prob, P_next, op),
-                                       opts.tol, _NEWTON_MAX_ITER, op)
+            if trial is target:
+                P_next, more = _newton(trial, _refine(trial, P_next, op),
+                                       tol, _NEWTON_MAX_ITER, op)
                 nits += 1 + more
                 if not (_on_valid_branch(P_next)
-                        and is_schur(extract_filter(prob, P_next)[0])):
+                        and is_schur(extract_filter(trial, P_next)[0])):
                     raise SolverError("not the minimum-phase solution")
-        except (SolverError, np.linalg.LinAlgError):
-            # LinAlgError: I - (1 - t) U is singular at this t
+        except (SolverError, DataError, np.linalg.LinAlgError):
+            # DataError: sigma(s) rounds onto the unit circle; LinAlgError:
+            # I - (1 - t) U is singular at this t
             step *= 0.5
-            # a halved step that still reaches t = 1 would repeat the failed
+            # a halved step that still reaches s = 1 would repeat the failed
             # trial: the same problem from the same secant start
-            while t_next == 1.0 and t + step >= 1.0 and step >= 1e-9:
+            while t_next == 1.0 and t + step >= 1.0 and step >= min_step:
                 step *= 0.5
-            if step < 1e-9:
+            if step < min_step:
                 raise SolverError(
                     f"continuation stalled at t = {t:.9f}"
                 ) from None
@@ -575,6 +615,47 @@ def _ramp(prob: CEEProblem, opts: SolveOptions) -> tuple[np.ndarray, int]:
         P, t = P_next, t_next
         step = min(2.0 * step, 0.5)
     return P, total
+
+
+def _ramp(prob: CEEProblem, opts: SolveOptions) -> tuple[np.ndarray, int]:
+    """P of ``prob`` at ``opts.tol`` and the Newton steps of the accepted
+    trials of the continuation that delivered it (:func:`_continuation`).
+
+    The first trial is the whole data ramp of :func:`_ramp_family` at once,
+    t = 1: Newton from P = 0 on the problem itself.  When it fails, the
+    numerator path runs: the data ramp of the same (u, U) at sigma = z^n,
+    where Gamma is nilpotent and the ramp is short, then the path
+    :func:`_sigma_family` from there to ``prob``, with the first-column
+    operator rebuilt for each trial.  If either gives up (the ramp at
+    z^n stalls, or the path's step falls below ``_SIGMA_MIN_STEP``), the
+    data ramp of ``prob`` goes on from t = 0 with step 1/2: the trials the
+    data ramp alone runs after its failed first one, so the result is then
+    the data ramp's own, bit for bit.
+    """
+    op = _operator(prob)
+    zero = np.zeros((prob.n, prob.n))
+    data = _ramp_family(prob)
+
+    def along(family, operator, P, step, min_step):
+        return _continuation(family, operator, prob, opts.tol, P, step, min_step)
+
+    try:
+        # a step floor of 1: the first failure ends the attempt
+        return along(data, lambda _: op, zero, 1.0, 1.0)
+    except SolverError:
+        pass
+    try:
+        start = CEEProblem(sigma=np.zeros(prob.n), u=prob.u, U=prob.U)
+        op_start = _operator(start)
+        P, its = along(_ramp_family(start), lambda _: op_start, zero, 1.0,
+                       _RAMP_MIN_STEP)
+        P, more = along(_sigma_family(prob),
+                        lambda trial: op if trial is prob else _operator(trial),
+                        P, 1.0, _SIGMA_MIN_STEP)
+        return P, its + more
+    except SolverError:
+        pass
+    return along(data, lambda _: op, zero, 0.5, _RAMP_MIN_STEP)
 
 
 def _fixed_point(
@@ -607,13 +688,16 @@ def solve_cee(prob: CEEProblem, options: Optional[SolveOptions] = None) -> CEESo
     h'Ph >= 1.
 
     Methods "auto" and "newton" run :func:`_ramp`: Newton from P = 0 on
-    the problem itself first, then, if that stalls, lands off the PSD
-    branch or ends with a non-Schur a, warm-started solves along the data
-    ramp of :func:`_ramp_family`, each substep solved as Newton on the n
+    the problem itself first.  If that stalls, lands off the PSD branch or
+    ends with a non-Schur a, the numerator path follows: the same (u, U)
+    solved at sigma = z^n along the data ramp of :func:`_ramp_family`, then
+    warm-started solves along sigma(s) of :func:`_sigma_family` to the
+    given sigma.  If that gives up, warm-started solves along the data ramp
+    of the problem itself follow.  Each trial is solved as Newton on the n
     unknowns of x = Ph and checked by full-space Newton through lifted
     steps.  The path reads only (sigma, u, U), whatever the data source.
-    ``iterations`` counts the steps of the accepted ramp substeps only
-    (see :class:`CEESolution`).  Method
+    ``iterations`` counts the steps of the accepted trials only (see
+    :class:`CEESolution`).  Method
     "fixed-point" runs the plain iteration from P = 0 alone; it has no
     global convergence guarantee: the solution can be a repelling fixed
     point of the iteration map, in which case the sweep trips the

@@ -30,6 +30,25 @@ def _tail_vector(coeffs) -> np.ndarray:
     return c
 
 
+def _step_down(p) -> list:
+    """Reflection coefficients of the monic polynomial ``p`` from the last,
+    gamma_n, gamma_(n-1), ... (Schur-Cohn step-down recursion), ending early
+    after the first one outside (-1, 1)."""
+    if isinstance(p, SchurPolynomial):
+        t = np.asarray(p.coeffs, dtype=float)
+    else:
+        t = np.asarray(p, dtype=float).ravel()
+    gammas = []
+    while t.size:
+        gamma = float(t[-1])
+        gammas.append(gamma)
+        # false for nan as well
+        if not abs(gamma) < 1.0:
+            break
+        t = (t[:-1] - gamma * t[-2::-1]) / (1.0 - gamma * gamma)
+    return gammas
+
+
 def is_schur(p) -> bool:
     """True iff every root of the monic polynomial lies strictly inside the
     unit circle.
@@ -38,23 +57,25 @@ def is_schur(p) -> bool:
     eigenvalue iteration is involved.  ``p`` may be a :class:`SchurPolynomial`
     or the trailing-coefficient vector (p_1, ..., p_n); degree 0 returns True.
     """
-    if isinstance(p, SchurPolynomial):
-        t = np.asarray(p.coeffs, dtype=float)
-    else:
-        t = np.asarray(p, dtype=float).ravel()
-    while t.size:
-        gamma = t[-1]
-        if not np.isfinite(gamma) or abs(gamma) >= 1.0:
-            return False
-        if t.size == 1:
-            return True
-        t = (t[:-1] - gamma * t[-2::-1]) / (1.0 - gamma * gamma)
-    return True
+    return all(abs(gamma) < 1.0 for gamma in _step_down(p))
+
+
+def tail_to_reflection(p) -> np.ndarray:
+    """Reflection coefficients (gamma_1, ..., gamma_n) of the Schur
+    polynomial ``p`` (step-down recursion): the inverse of
+    :func:`reflection_to_tail`.  Raises :class:`DataError` when ``p`` is not
+    Schur, exactly when :func:`is_schur` returns False.
+    """
+    gammas = _step_down(p)
+    if not all(abs(gamma) < 1.0 for gamma in gammas):
+        raise DataError("polynomial is not Schur; it has no reflection coefficients")
+    return np.array(gammas[::-1])
 
 
 def reflection_to_tail(gammas) -> np.ndarray:
     """Trailing coefficients of the monic polynomial with reflection
-    coefficients ``gammas`` (step-up recursion).
+    coefficients ``gammas`` (step-up recursion); the inverse of
+    :func:`tail_to_reflection`.
 
     Every entry must lie in (-1, 1); the result is then Schur, and the map is
     a bijection onto the Schur polynomials of that degree.

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import itertools
 
 import numpy as np
 import pytest
@@ -195,23 +196,55 @@ class TestLineSearch:
                     assert np.linalg.norm(rt - model) <= 1e-12 * scale
 
 
-def ramp_trials(monkeypatch):
-    """A list that collects the t of every continuation trial solve_cee
-    runs from now on."""
-    ts = []
-    ramp_family = cee._ramp_family
+def path_trials(monkeypatch):
+    """A list that collects (problem, path, s) for every continuation trial
+    solve_cee runs from now on: path "t" for a data ramp, "s" for the
+    numerator path, and ``problem`` the problem whose path it is."""
+    trials = []
 
-    def spy(prob):
-        family = ramp_family(prob)
+    def spy(name, path):
+        make = getattr(cee, name)
 
-        def trial(t):
-            ts.append(t)
-            return family(t)
+        def spied(prob):
+            family = make(prob)
 
+            def trial(s):
+                trials.append((prob, path, s))
+                return family(s)
+
+            return trial
+
+        monkeypatch.setattr(cee, name, spied)
+
+    spy("_ramp_family", "t")
+    spy("_sigma_family", "s")
+    return trials
+
+
+def labelled(trials, prob):
+    """The trials of a solve of ``prob`` as (path, s), with path "t0" for the
+    data ramp at sigma = z^n."""
+    return [(path if p is prob else "t0", s) for p, path, s in trials]
+
+
+def sigma_path_gives_up(monkeypatch):
+    """Make every numerator-path trial fail to build, as a sigma(s) that
+    rounds onto the unit circle does, so that the path gives up at its
+    step floor."""
+    def family(prob):
+        def trial(s):
+            raise DataError("sigma(s) is not Schur")
         return trial
 
-    monkeypatch.setattr(cee, "_ramp_family", spy)
-    return ts
+    monkeypatch.setattr(cee, "_sigma_family", family)
+
+
+def data_ramp_alone(prob, tol=SolveOptions().tol):
+    """(P, Newton steps) of the data ramp of ``prob`` from t = 0 with first
+    step 1: the trial sequence of the solver without the numerator path."""
+    op = cee._operator(prob)
+    return cee._continuation(cee._ramp_family(prob), lambda _: op, prob, tol,
+                             np.zeros((prob.n, prob.n)), 1.0, cee._RAMP_MIN_STEP)
 
 
 class TestContinuation:
@@ -226,27 +259,33 @@ class TestContinuation:
             return reduced_newton(prob, x, op)
 
         monkeypatch.setattr(cee, "_reduced_newton", spy)
-        ts = ramp_trials(monkeypatch)
+        trials = path_trials(monkeypatch)
         repeats = skips = 0
-        # benchmark corpus seed 44 request 111 (n = 8) fails many trials
-        # close to t = 1
-        for prob in corpus_slice() + [perfbench_request(44, 111)[1]]:
-            calls.clear()
-            ts.clear()
-            solve_outcome(prob)
-            repeats += sum(a[0] is b[0] and a[1] == b[1]
-                           for a, b in zip(calls, calls[1:]))
-            # replay the ramp's step from the trials: a failed t = 1 trial
-            # whose halved step still reaches t = 1 would be run again
-            # without the skip
-            base, step = 0.0, 1.0
-            for t, t_after in zip(ts, ts[1:]):
-                if t_after > t:
-                    base, step = t, min(2.0 * step, 0.5)
-                    continue
-                step *= 0.5
-                skips += t == 1.0 and base + step >= 1.0
-                step = t_after - base
+        # benchmark corpus seed 44 request 111 (n = 8) fails many data-ramp
+        # trials close to t = 1; the skip is reached on the data ramp, so the
+        # second pass makes the numerator path give up
+        problems = corpus_slice() + [perfbench_request(44, 111)[1]]
+        for give_up in (False, True):
+            if give_up:
+                sigma_path_gives_up(monkeypatch)
+            for prob in problems:
+                calls.clear()
+                trials.clear()
+                solve_outcome(prob)
+                repeats += sum(a[0] is b[0] and a[1] == b[1]
+                               for a, b in zip(calls, calls[1:]))
+                # replay the data ramp's step from its trials: a failed t = 1
+                # trial whose halved step still reaches t = 1 would be run
+                # again without the skip
+                ts = [t for path, t in labelled(trials, prob) if path == "t"]
+                base, step = 0.0, 1.0
+                for t, t_after in zip(ts, ts[1:]):
+                    if t_after > t:
+                        base, step = t, min(2.0 * step, 0.5)
+                        continue
+                    step *= 0.5
+                    skips += t == 1.0 and base + step >= 1.0
+                    step = t_after - base
         assert repeats == 0
         # the problems reach the case
         assert skips > 0
@@ -364,13 +403,19 @@ class TestFirstColumn:
         assert np.linalg.norm(d - full) <= 1e-8 * np.linalg.norm(full)
 
 
+def perfbench_pool(seed):
+    """(a, problem) of the requests of the benchmark's corpus pool at
+    ``seed``, in order: rng [seed, 2], n = 2..8 interleaved."""
+    rng = np.random.default_rng([seed, 2])
+    for k in itertools.count():
+        a, sigma, _, _, c = forward_instance(rng, 2 + k % 7, 0.95)
+        yield a, problem_from_covariances(c, sigma)
+
+
 def perfbench_request(seed, request):
     """(a, problem) of request ``request`` of the benchmark's corpus pool at
-    ``seed``: draw request + 1 from rng [seed, 2], n = 2..8 interleaved."""
-    rng = np.random.default_rng([seed, 2])
-    for k in range(request + 1):
-        a, sigma, _, _, c = forward_instance(rng, 2 + k % 7, 0.95)
-    return a, problem_from_covariances(c, sigma)
+    ``seed``."""
+    return next(itertools.islice(perfbench_pool(seed), request, None))
 
 
 def solve_outcome(prob):
@@ -388,12 +433,13 @@ class TestFallback:
 
     def test_non_schur_landing_at_t1_is_a_failed_trial(self, monkeypatch):
         # the problem solves at its first trial, t = 1; forcing the Schur
-        # test to fail there makes it a failed trial, and the ramp halves
-        # its step to t = 1/2 before it reaches t = 1 again
+        # test to fail there makes it a failed trial, and the numerator path
+        # takes over: the data ramp at sigma = z^n, which has no Schur test,
+        # then sigma(s) from there, whose trial at s = 1 is on the problem
         prob = corpus_slice(per_degree=1)[1]
-        ts = ramp_trials(monkeypatch)
+        trials = path_trials(monkeypatch)
         solve_outcome(prob)
-        assert ts == [1.0]
+        assert labelled(trials, prob) == [("t", 1.0)]
         schur_calls = []
 
         def is_schur(a):
@@ -402,10 +448,12 @@ class TestFallback:
 
         cee_is_schur = cee.is_schur
         monkeypatch.setattr(cee, "is_schur", is_schur)
-        ts.clear()
+        trials.clear()
         sol = solve_cee(prob)
-        assert ts == [1.0, 0.5, 1.0]
-        assert sol.a_is_schur and len(schur_calls) == 3
+        assert labelled(trials, prob) == [("t", 1.0), ("t0", 1.0), ("s", 1.0)]
+        # the forced test, the check of sigma = z^n as its problem is built,
+        # the test at s = 1 and solve_cee's own
+        assert sol.a_is_schur and len(schur_calls) == 4
 
     def test_fragile_request_recovers_a(self):
         # perfbench corpus seed 2002 request 615 (n = 8): a t = 1 landing
@@ -415,6 +463,96 @@ class TestFallback:
         sol = solve_cee(prob, SolveOptions(max_iter=20_000))
         assert prob.n == 8 and sol.a_is_schur
         assert np.max(np.abs(sol.a - a.coeffs)) <= 1e-6
+
+
+class TestNumeratorPath:
+    """After a failed first trial the solve runs the data ramp at
+    sigma = z^n and then the path sigma(s) to the problem; the data ramp
+    of the problem itself is the fallback."""
+
+    def test_lands_on_the_data_ramps_solution(self, monkeypatch):
+        # the PSD h'Ph < 1 solution is unique, so the numerator path and the
+        # data ramp reach the same P on the first 20 benchmark-pool
+        # requests whose first trial fails
+        trials = path_trials(monkeypatch)
+        compared = 0
+        for _, prob in perfbench_pool(7):
+            trials.clear()
+            sol = solve_cee(prob)
+            path = labelled(trials, prob)
+            if len(path) == 1:
+                continue
+            assert path[1] == ("t0", 1.0) and path[-1] == ("s", 1.0)
+            P, _ = data_ramp_alone(prob)
+            assert np.max(np.abs(sol.P - P)) <= 1e-8
+            compared += 1
+            if compared == 20:
+                break
+
+    def test_first_trial_success_builds_no_sigma_problem(self, monkeypatch):
+        # a solve that succeeds at its first trial is the data ramp's first
+        # trial, bit for bit
+        built = []
+        sigma_family = cee._sigma_family
+        monkeypatch.setattr(cee, "_sigma_family",
+                            lambda prob: built.append(prob) or sigma_family(prob))
+        trials = path_trials(monkeypatch)
+        solved = 0
+        for prob in corpus_slice():
+            trials.clear()
+            built.clear()
+            P, steps = cee._ramp(prob, SolveOptions())
+            if labelled(trials, prob) != [("t", 1.0)]:
+                continue
+            assert not built
+            P_data, steps_data = data_ramp_alone(prob)
+            assert P.tobytes() == P_data.tobytes() and steps == steps_data
+            solved += 1
+        assert solved >= 5
+
+    def test_forced_give_up_is_the_data_ramp(self, monkeypatch):
+        # when the numerator path gives up, the data ramp goes on from t = 0
+        # with step 1/2, which is the rest of its own trial sequence: the
+        # result is bit-identical to the data ramp alone
+        sigma_path_gives_up(monkeypatch)
+        trials = path_trials(monkeypatch)
+        fell_back = 0
+        for prob in corpus_slice() + [perfbench_request(44, 111)[1]]:
+            trials.clear()
+            P, steps = cee._ramp(prob, SolveOptions())
+            fell_back += labelled(trials, prob)[-1] == ("t", 1.0) and len(trials) > 1
+            P_data, steps_data = data_ramp_alone(prob)
+            assert P.tobytes() == P_data.tobytes() and steps == steps_data
+        assert fell_back >= 5
+
+    def test_unbuildable_sigma_is_a_failed_trial(self, monkeypatch):
+        # benchmark-pool seed 7 request 6 fails its first trial and its
+        # numerator path's trial at s = 1, then solves at s = 1/2 and 1; a
+        # sigma(1/2) that rounds onto the unit circle, so that building its
+        # problem raises DataError, fails that trial and the path halves its
+        # step instead
+        _, prob = perfbench_request(7, 6)
+        trials = path_trials(monkeypatch)
+        solve_cee(prob)
+        sigma_trials = [s for path, s in labelled(trials, prob) if path == "s"]
+        assert sigma_trials == [1.0, 0.5, 1.0]
+        step_up = cee.reflection_to_tail
+        failed = []
+
+        def reflection_to_tail(gammas):
+            tail = step_up(gammas)
+            if not failed:
+                failed.append(tail)
+                tail = np.concatenate([tail[:-1], [1.0]])
+            return tail
+
+        monkeypatch.setattr(cee, "reflection_to_tail", reflection_to_tail)
+        trials.clear()
+        sol = solve_cee(prob)
+        sigma_trials = [s for path, s in labelled(trials, prob) if path == "s"]
+        assert failed and sigma_trials[:3] == [1.0, 0.5, 0.25]
+        assert sol.a_is_schur
+        assert np.max(np.abs(sol.P - data_ramp_alone(prob)[0])) <= 1e-8
 
 
 class TestEnvelope:
@@ -682,6 +820,9 @@ class TestUniversality:
             cee.solve_cee,
             cee._fixed_point,
             cee._ramp,
+            cee._continuation,
+            cee._sigma_family,
+            cee._operator,
             cee._first_column_operator,
             cee._stein_solve,
             cee._reduced_step,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covext.errors import DataError, PoleOnCircleError
 from covext.polyalg import (
@@ -15,6 +17,7 @@ from covext.polyalg import (
     reflection_to_tail,
     solve_b,
     spectral_density,
+    tail_to_reflection,
     unit_variance_rho,
 )
 
@@ -60,6 +63,35 @@ class TestIsSchur:
     def test_reflection_outside_unit_rejected(self):
         with pytest.raises(DataError):
             reflection_to_tail([0.5, 1.2])
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(1, 30).flatmap(
+        lambda n: st.lists(st.floats(-0.95, 0.95), min_size=n, max_size=n)))
+    def test_step_down_inverts_step_up(self, gammas):
+        # the step-down recursion recovers the reflection coefficients to
+        # its conditioning, prod 1 / (1 - gamma_k^2), and stepping them up
+        # again gives the polynomial back to rounding
+        g = np.array(gammas)
+        n = g.size
+        eps = np.finfo(float).eps
+        tail = reflection_to_tail(g)
+        back = tail_to_reflection(tail)
+        assert back.shape == (n,)
+        assert np.max(np.abs(back - g)) <= 1024 * n * eps * np.prod(1.0 / (1.0 - g * g))
+        scale = np.prod(1.0 + np.abs(g))
+        assert np.max(np.abs(reflection_to_tail(back) - tail)) <= 16 * n * eps * scale
+
+    def test_step_down_needs_a_schur_polynomial(self):
+        # tail_to_reflection fails exactly where is_schur does
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            tail = rng.uniform(-1.5, 1.5, int(rng.integers(1, 9)))
+            if is_schur(tail):
+                assert np.all(np.abs(tail_to_reflection(tail)) < 1.0)
+            else:
+                with pytest.raises(DataError):
+                    tail_to_reflection(tail)
+        assert tail_to_reflection([]).shape == (0,)
 
 
 class TestSchurPolynomial:

@@ -50,11 +50,19 @@ Each section also prints a work line: how many residuals
 steps (``cee._lifted_step``) and how many n x n solves with the
 first-column Jacobian (``cee._reduced_step``, which each lifted step also
 calls once) it took, both counting the iterations of failed continuation
-trials too, how many continuation ramp trials (``cee._ramp``) ran and how
-many of them failed, and how many lifted steps and n x n solves the failed
-trials took; failed trials at t = 1, on the problem itself, are also
-counted on their own.  The counts come from wrapping those module
-functions and ``cee._ramp_family`` here; the wrappers change no result.
+trials too, and how many first-column operators (``cee._first_column_operator``,
+one n^2 x n^2 LU each) it built.  Then the continuation trials
+(``cee._continuation``, over all its runs): how many ran and how many
+failed, and how many lifted steps and n x n solves the failed trials took;
+failed trials on the problem itself (t = 1 of its data ramp, s = 1 of the
+numerator path) are also counted on their own.  Last, how many numerator
+paths started (one data ramp at sigma = z^n each), how many of the trials
+were sigma trials and how many of those failed, how many sigma paths gave
+up at their step floor, and how many solves fell back to the data ramp
+(after a give-up or a stalled ramp at z^n).  The counts come from wrapping
+those module functions and ``cee._ramp_family`` and ``cee._sigma_family``
+here; the wrappers change no result: the P bytes of every corpus solve are
+the same with and without them.
 
 The cli section also prints a validation line: how many documents
 (problems and solutions, read or written) were validated, how many the
@@ -152,18 +160,21 @@ LARGE_N_STRATA = tuple((n, r) for r in (0.5, 0.8, 0.95) for n in (12, 16, 20))
 
 @contextlib.contextmanager
 def counted_work(section: str):
-    """Count residual evaluations, lifted steps, n x n solves and
-    continuation ramp trials inside the block, then print them as the
-    section's work line."""
+    """Count residual evaluations, lifted steps, n x n solves, first-column
+    operators and continuation trials inside the block, then print them as
+    the section's work line."""
     counts = {"residuals": 0, "lifted steps": 0, "n×n steps": 0,
-              "ramp trials": 0, "failed trials": 0, "failed trials at t=1": 0,
+              "operators": 0, "ramp trials": 0, "failed trials": 0,
+              "failed trials at t=1": 0,
               "lifted steps of failed trials": 0,
               "lifted steps of failed trials at t=1": 0,
-              "n×n steps of failed trials": 0}
+              "n×n steps of failed trials": 0,
+              "σ paths": 0, "σ trials": 0, "failed σ trials": 0,
+              "σ give-ups": 0, "fallbacks": 0}
     originals = {name: getattr(cee, name) for name in
                  ("_residual_matrix", "_lifted_step", "_reduced_step",
-                  "_ramp", "_ramp_family")}
-    trials = []  # the current ramp's trials as (t, lifted steps, n×n steps at start)
+                  "_first_column_operator", "_continuation", "_ramp_family",
+                  "_sigma_family")}
 
     def counter(name, key):
         def counted(*args):
@@ -171,50 +182,71 @@ def counted_work(section: str):
             return originals[name](*args)
         return counted
 
-    def ramp_family(*args):
-        family = originals["_ramp_family"](*args)
+    def tagged(name):
+        """The path family of ``name``, marked with its problem and kind."""
+        def make(prob):
+            family = originals[name](prob)
 
-        def trial(t):
-            # the ramp builds its problem once per trial
-            trials.append((t, counts["lifted steps"], counts["n×n steps"]))
-            return family(t)
+            def trial(s):
+                return family(s)
 
-        return trial
+            trial.problem, trial.sigma = prob, name == "_sigma_family"
+            return trial
+        return make
 
-    def tally(stalled):
-        """An accepted trial moves the ramp forward, so a trial failed when
+    def tally(trials, stalled, sigma):
+        """An accepted trial moves the path forward, so a trial failed when
         the next one does not go beyond it; the last trial failed when the
-        ramp stalled, and otherwise ended the ramp."""
+        path stalled, and otherwise ended it.  A trial at s = 1 is on the
+        problem itself, except on the data ramp at sigma = z^n."""
         last = (-np.inf if stalled else np.inf, counts["lifted steps"],
-                counts["n×n steps"])
-        for (t, lifted, steps), (t_after, lifted_end, steps_end) in zip(
+                counts["n×n steps"], False)
+        for (s, lifted, steps, on_target), (s_after, lifted_end, steps_end, _) in zip(
                 trials, trials[1:] + [last]):
             counts["ramp trials"] += 1
-            if t_after <= t:
+            counts["σ trials"] += sigma
+            if s_after <= s:
                 counts["failed trials"] += 1
+                counts["failed σ trials"] += sigma
                 counts["lifted steps of failed trials"] += lifted_end - lifted
                 counts["n×n steps of failed trials"] += steps_end - steps
-                if t == 1.0:
+                if on_target:
                     counts["failed trials at t=1"] += 1
                     counts["lifted steps of failed trials at t=1"] += (
                         lifted_end - lifted)
-        trials.clear()
 
-    def ramp(*args):
+    def continuation(family, operator, target, tol, P, step, min_step):
+        """One leg of a solve: the first trial, the data ramp at
+        sigma = z^n, the numerator path, or the data-ramp fallback."""
+        trials = []  # (s, lifted steps, n×n steps at start, on the problem)
+
+        def trial(s):
+            # the loop builds its problem once per trial
+            trials.append((s, counts["lifted steps"], counts["n×n steps"],
+                           s == 1.0 and family.problem is target))
+            return family(s)
+
+        counts["σ paths"] += family.problem is not target
+        counts["fallbacks"] += (not family.sigma and family.problem is target
+                                and step < 1.0)
         stalled = False
         try:
-            return originals["_ramp"](*args)
-        except SolverError as exc:
-            stalled = str(exc).startswith("continuation stalled")
+            return originals["_continuation"](trial, operator, target, tol, P,
+                                              step, min_step)
+        except SolverError:
+            stalled = True
+            counts["σ give-ups"] += family.sigma
             raise
         finally:
-            tally(stalled)
+            tally(trials, stalled, family.sigma)
 
     cee._residual_matrix = counter("_residual_matrix", "residuals")
     cee._lifted_step = counter("_lifted_step", "lifted steps")
     cee._reduced_step = counter("_reduced_step", "n×n steps")
-    cee._ramp_family = ramp_family
-    cee._ramp = ramp
+    cee._first_column_operator = counter("_first_column_operator", "operators")
+    cee._ramp_family = tagged("_ramp_family")
+    cee._sigma_family = tagged("_sigma_family")
+    cee._continuation = continuation
     try:
         yield
     finally:
