@@ -37,7 +37,8 @@ from .polyalg import (
 
 # fixed-point steps before the divergence guard may fire
 _GRACE = 10
-# Newton iteration caps: the final polish, and each continuation substep
+# Newton iteration caps: the full-space polish on the problem itself, and
+# the first-column Newton of each continuation trial
 _NEWTON_MAX_ITER = 100
 _RAMP_NEWTON_MAX_ITER = 25
 # the data ramp stalls, and the numerator path gives up, once its step in
@@ -64,7 +65,7 @@ def companion(vec) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CEEProblem:
-    """Assembled problem data (sigma, Gamma, h, u, U).
+    """Assembled problem data (sigma, Gamma, u, U).
 
     Nothing records where (u, U) came from: covariance and interpolation
     parameters are the same kind of data to the solver.
@@ -114,24 +115,18 @@ class CEEProblem:
     def n(self) -> int:
         return self.sigma.size
 
-    @property
-    def h(self) -> np.ndarray:
-        h = np.zeros(self.n)
-        h[0] = 1.0
-        return h
-
 
 @dataclass(frozen=True, eq=False)
 class CEESolution:
     """Solution bundle: P with h'Ph < 1, extracted (a, rho), derived b.
 
     ``iterations`` is the fixed-point step count for method "fixed-point".
-    For "newton" it counts the n x n first-column Newton steps and the
-    lifted full-space Newton steps of the accepted trials of the
-    continuation that delivered P, the final refinement step included: the
-    first trial, the numerator path (its data ramp at sigma = z^n
-    included) or the data-ramp fallback.  Failed trials, and a numerator
-    path that gave up, are not counted.
+    For "newton" it counts the n x n first-column Newton steps of the
+    accepted trials of the continuation that delivered P, and the lifted
+    full-space Newton steps of its last trial, the one on the problem
+    itself, with its refinement step: the first trial, the numerator path
+    (its data ramp at sigma = z^n included) or the data-ramp fallback.
+    Failed trials, and a numerator path that gave up, are not counted.
     """
 
     P: np.ndarray
@@ -365,17 +360,17 @@ def _lifted_step(prob: CEEProblem, op, P: np.ndarray, R: np.ndarray) -> np.ndarr
     return _stein_solve(lu, R + DQ)
 
 
-def _newton(prob: CEEProblem, P0: np.ndarray, tol: float, max_iter: int,
+def _newton(prob: CEEProblem, P0: np.ndarray, tol: float,
             op) -> tuple[np.ndarray, int]:
     """Undamped full-space Newton on the residual map through lifted steps
-    (:func:`_lifted_step`), to ||R||_F <= ``tol``.  Raises
-    :class:`SolverError` as soon as a step fails to lower ||R||_F by the
-    factor 1 - 1e-4; the continuation ramp recovers by halving its
-    t-step."""
+    (:func:`_lifted_step`), to ||R||_F <= ``tol``: the polish of a
+    continuation trial on the problem itself.  Raises :class:`SolverError`
+    as soon as a step fails to lower ||R||_F by the factor 1 - 1e-4; the
+    continuation recovers by halving its step."""
     P = 0.5 * (P0 + P0.T)
     R = _residual_matrix(prob, P)
     rnorm = np.linalg.norm(R, "fro")
-    for it in range(max_iter):
+    for it in range(_NEWTON_MAX_ITER):
         if rnorm <= tol:
             return P, it
         Pn = P - _lifted_step(prob, op, P, R)
@@ -386,9 +381,9 @@ def _newton(prob: CEEProblem, P0: np.ndarray, tol: float, max_iter: int,
             raise SolverError(f"Newton stalled at a nonzero residual {rnorm:.3e}")
         P, R, rnorm = Pn, Rn, rn
     if rnorm <= tol:
-        return P, max_iter
+        return P, _NEWTON_MAX_ITER
     raise SolverError(
-        f"Newton did not converge in {max_iter} iterations "
+        f"Newton did not converge in {_NEWTON_MAX_ITER} iterations "
         f"(last residual {rnorm:.3e})"
     )
 
@@ -417,7 +412,11 @@ def _reduced_newton(prob, x, op):
     Gamma) eps, and so does its fixed point.  The Stein solve through the LU
     factors is backward stable instead, so x - Ph measures the full-space
     residual; refinement steps on it, with the same n x n Jacobian, follow
-    while they at least halve it.
+    while they lower it by the factor 1 - 1e-4.  The first step that does
+    not is Newton's estimate of x's distance to the solution.  When kappa
+    is large, the rounding level above can stop the iteration short of the
+    solution, where refinement cannot take over: a step longer than
+    eps^(1/4) (|x| + ||P||_F) there raises :class:`SolverError`.
     """
     lu, K, kappa = op
     n = prob.n
@@ -476,8 +475,8 @@ def _reduced_newton(prob, x, op):
     P = _stein_solve(lu, g[:, None] * g - y[:, None] * y)
     e = x - P[:, 0]
     enorm = math.sqrt(float(e @ e))
-    floor = 8 * n * _EPS * (math.sqrt(float(x @ x))
-                            + math.sqrt(float(np.vdot(P, P))))
+    scale = math.sqrt(float(x @ x)) + math.sqrt(float(np.vdot(P, P)))
+    floor = 8 * n * _EPS * scale
     while enorm > floor and steps < _RAMP_NEWTON_MAX_ITER:
         try:
             d = _reduced_step(Bg, By, M, G, e)
@@ -489,7 +488,11 @@ def _reduced_newton(prob, x, op):
         P1 = _stein_solve(lu, g1[:, None] * g1 - y1[:, None] * y1)
         e1 = x1 - P1[:, 0]
         e1norm = math.sqrt(float(e1 @ e1))
-        if not e1norm <= 0.5 * enorm:
+        if not e1norm < enorm * (1.0 - 1e-4):
+            if math.sqrt(float(d @ d)) > _EPS ** 0.25 * scale:
+                raise SolverError(
+                    f"first-column Newton stalled at a nonzero residual {enorm:.3e}"
+                )
             break
         x, Bg, By, P, e, enorm = x1, Bg1, By1, P1, e1, e1norm
     return P, steps
@@ -549,16 +552,17 @@ def _continuation(family, operator, target: CEEProblem, tol: float,
     ``min_step``.
 
     A trial is Newton on the n unknowns of x = Ph (:func:`_reduced_newton`)
-    with the first-column operator ``operator(problem)``, whose P is then
-    handed to full-space Newton through lifted steps (:func:`_newton`) at
-    the substep tolerance.  A trial on ``target`` goes on with one
-    extended-precision refinement step (:func:`_refine`) and Newton at
-    ``tol``, and passes only if a(z) is then Schur as well: a non-Schur a
-    there is a failed trial like any other.  The Schur test runs on
-    ``target`` only; an accepted trial elsewhere may carry a root of a on
-    the unit circle to rounding.  A problem that fails to build
-    (:class:`DataError`, or a singular solve in :func:`_ramp_family`) is a
-    failed trial too.
+    with the first-column operator ``operator(problem)``, and passes if its
+    P is on the branch: an intermediate trial only seeds the next warm
+    start.  A trial on ``target`` is then polished in the full space:
+    Newton through lifted steps (:func:`_newton`) to 1e-9 (or ``tol``, if
+    looser), one extended-precision refinement step (:func:`_refine`) and
+    Newton at ``tol``; it passes only if P is still on the branch and a(z)
+    is Schur: a non-Schur a there is a failed trial like any other.  The
+    Schur test runs on ``target`` only; an accepted trial elsewhere may
+    carry a root of a on the unit circle to rounding.  A problem that fails
+    to build (:class:`DataError`, or a singular solve in
+    :func:`_ramp_family`) is a failed trial too.
 
     A trial that clips to s = 1 and fails is not run again while the halved
     step still reaches s = 1: the problem, ``family(1.0)``, and the secant
@@ -566,9 +570,9 @@ def _continuation(family, operator, target: CEEProblem, tol: float,
     halving until it ends short of s = 1 or the path stalls.  Failed trials
     are not counted in the returned steps.
     """
-    # intermediate problems only seed the next warm start; they do not need
-    # the final tolerance, and grinding on a hard substep is worse than
-    # failing fast and halving the step
+    # the reduced P is within reach of refinement only after full-space
+    # Newton at this looser tolerance (see "One corrector per trial" in
+    # notes/decisions.md)
     sub_tol = max(tol, 1e-9)
     P_prev = None
     t = 0.0
@@ -585,15 +589,12 @@ def _continuation(family, operator, target: CEEProblem, tol: float,
             trial = family(t_next)
             op = operator(trial)
             P_next, nits = _reduced_newton(trial, start[:, 0], op)
-            P_next, more = _newton(trial, P_next, sub_tol,
-                                   _RAMP_NEWTON_MAX_ITER, op)
-            nits += more
             if not _on_valid_branch(P_next):
                 raise SolverError("left the PSD h'Ph < 1 branch along the ramp")
             if trial is target:
-                P_next, more = _newton(trial, _refine(trial, P_next, op),
-                                       tol, _NEWTON_MAX_ITER, op)
-                nits += 1 + more
+                P_next, more = _newton(trial, P_next, sub_tol, op)
+                P_next, last = _newton(trial, _refine(trial, P_next, op), tol, op)
+                nits += more + 1 + last
                 if not (_on_valid_branch(P_next)
                         and is_schur(extract_filter(trial, P_next)[0])):
                     raise SolverError("not the minimum-phase solution")
@@ -694,10 +695,10 @@ def solve_cee(prob: CEEProblem, options: Optional[SolveOptions] = None) -> CEESo
     warm-started solves along sigma(s) of :func:`_sigma_family` to the
     given sigma.  If that gives up, warm-started solves along the data ramp
     of the problem itself follow.  Each trial is solved as Newton on the n
-    unknowns of x = Ph and checked by full-space Newton through lifted
-    steps.  The path reads only (sigma, u, U), whatever the data source.
-    ``iterations`` counts the steps of the accepted trials only (see
-    :class:`CEESolution`).  Method
+    unknowns of x = Ph; only the trial on the problem itself goes on to
+    full-space Newton through lifted steps.  The path reads only (sigma,
+    u, U), whatever the data source.  ``iterations`` counts the steps of
+    the accepted trials only (see :class:`CEESolution`).  Method
     "fixed-point" runs the plain iteration from P = 0 alone; it has no
     global convergence guarantee: the solution can be a repelling fixed
     point of the iteration map, in which case the sweep trips the

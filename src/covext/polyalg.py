@@ -109,10 +109,6 @@ class SchurPolynomial:
                 f"polynomial with trailing coefficients {self.coeffs} is not Schur"
             )
 
-    @classmethod
-    def from_reflection(cls, gammas) -> "SchurPolynomial":
-        return cls(reflection_to_tail(gammas))
-
     @property
     def degree(self) -> int:
         return self.coeffs.size

@@ -290,6 +290,73 @@ class TestContinuation:
         # the problems reach the case
         assert skips > 0
 
+    def test_only_the_problem_itself_is_polished(self, monkeypatch):
+        # an intermediate trial is the first-column Newton and the branch
+        # test alone: full-space Newton runs only on the problem being
+        # solved, and every accepted intermediate P is on the PSD h'Ph < 1
+        # branch
+        polished = []
+        legs = []  # [target, trials as [s, problem, reduced P], finished]
+        newton = cee._newton
+        continuation = cee._continuation
+        reduced_newton = cee._reduced_newton
+
+        def newton_spy(prob, *args):
+            polished.append(prob)
+            return newton(prob, *args)
+
+        def continuation_spy(family, operator, target, tol, P, step, min_step):
+            leg = [target, [], False]
+            legs.append(leg)
+
+            def trial(s):
+                prob = family(s)
+                leg[1].append([s, prob, None])
+                return prob
+
+            result = continuation(trial, operator, target, tol, P, step, min_step)
+            leg[2] = True
+            return result
+
+        def reduced_newton_spy(prob, x, op):
+            P, steps = reduced_newton(prob, x, op)
+            legs[-1][1][-1][2] = P
+            return P, steps
+
+        monkeypatch.setattr(cee, "_newton", newton_spy)
+        monkeypatch.setattr(cee, "_continuation", continuation_spy)
+        monkeypatch.setattr(cee, "_reduced_newton", reduced_newton_spy)
+
+        def check(prob):
+            """(legs, accepted intermediate trials) of a solve of prob."""
+            polished.clear()
+            legs.clear()
+            solve_outcome(prob)
+            assert polished and all(p is prob for p in polished)
+            accepted = 0
+            for target, trials, finished in legs:
+                # a trial was accepted when the next one goes beyond it, or
+                # when it ended a leg that finished
+                ends = [s for s, _, _ in trials[1:]] + [np.inf if finished else -np.inf]
+                for (s, trial, P), s_after in zip(trials, ends):
+                    if trial is not target and s_after > s:
+                        assert cee._on_valid_branch(P)
+                        accepted += 1
+            return len(legs), accepted
+
+        intermediate = 0
+        first_trial_fails = None
+        for prob in corpus_slice():
+            leg_count, accepted = check(prob)
+            intermediate += accepted
+            if leg_count > 1 and first_trial_fails is None:
+                first_trial_fails = prob
+        assert intermediate > 0
+        # with the numerator path forced to give up, the data-ramp fallback
+        # runs its intermediate trials on the problem's own data ramp
+        sigma_path_gives_up(monkeypatch)
+        assert check(first_trial_fails)[1] > 0
+
 
 @st.composite
 def first_column_points(draw):
@@ -401,6 +468,31 @@ class TestFirstColumn:
                                ).reshape(n, n, order="F")
         d = lifted_step(prob, P)
         assert np.linalg.norm(d - full) <= 1e-8 * np.linalg.norm(full)
+
+    def test_a_stop_short_of_the_solution_is_not_returned(self):
+        # with kappa inflated, the first-column Newton's rounding level is
+        # loose enough to stop it at its start, as it can on an ill-conditioned
+        # large-n ramp; refinement from there reaches the solution or raises,
+        # and never returns a P on the branch that misses the equation
+        reached = failed = 0
+        for prob in corpus_slice():
+            x_star = solve_cee(prob).P[:, 0]
+            lu, K, kappa = cee._operator(prob)
+            rng = np.random.default_rng(prob.n)
+            for distance in (0.01, 0.1, 1.0):
+                for _ in range(5):
+                    d = rng.standard_normal(prob.n)
+                    d *= distance * np.linalg.norm(x_star) / np.linalg.norm(d)
+                    try:
+                        P, _ = cee._reduced_newton(prob, x_star + d,
+                                                   (lu, K, 1e30 * kappa))
+                    except SolverError:
+                        failed += 1
+                        continue
+                    assert (not cee._on_valid_branch(P)
+                            or cee_residual(prob, P) <= 1e-9)
+                    reached += 1
+        assert reached > 0 and failed > 0
 
 
 def perfbench_pool(seed):

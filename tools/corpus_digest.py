@@ -162,7 +162,7 @@ LARGE_N_STRATA = tuple((n, r) for r in (0.5, 0.8, 0.95) for n in (12, 16, 20))
 def counted_work(section: str):
     """Count residual evaluations, lifted steps, n x n solves, first-column
     operators and continuation trials inside the block, then print them as
-    the section's work line."""
+    the section's work line.  Yields the dict of counts."""
     counts = {"residuals": 0, "lifted steps": 0, "n×n steps": 0,
               "operators": 0, "ramp trials": 0, "failed trials": 0,
               "failed trials at t=1": 0,
@@ -248,7 +248,7 @@ def counted_work(section: str):
     cee._sigma_family = tagged("_sigma_family")
     cee._continuation = continuation
     try:
-        yield
+        yield counts
     finally:
         for name, fn in originals.items():
             setattr(cee, name, fn)
