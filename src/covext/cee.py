@@ -123,8 +123,8 @@ class CEESolution:
     ``iterations`` is the fixed-point step count for method "fixed-point".
     For "newton" it counts the n x n first-column Newton steps of the
     accepted trials of the continuation that delivered P, and the lifted
-    full-space Newton steps of its last trial, the one on the problem
-    itself, with its refinement step: the first trial, the numerator path
+    full-space Newton steps (at least one) that polished its last trial,
+    the one on the problem itself: the first trial, the numerator path
     (its data ramp at sigma = z^n included) or the data-ramp fallback.
     Failed trials, and a numerator path that gave up, are not counted.
     """
@@ -138,10 +138,6 @@ class CEESolution:
     iterations: int
     method: str
     a_is_schur: bool
-
-    @property
-    def hPh(self) -> float:
-        return float(self.P[0, 0])
 
 
 @dataclass(frozen=True)
@@ -363,25 +359,30 @@ def _lifted_step(prob: CEEProblem, op, P: np.ndarray, R: np.ndarray) -> np.ndarr
 def _newton(prob: CEEProblem, P0: np.ndarray, tol: float,
             op) -> tuple[np.ndarray, int]:
     """Undamped full-space Newton on the residual map through lifted steps
-    (:func:`_lifted_step`), to ||R||_F <= ``tol``: the polish of a
-    continuation trial on the problem itself.  Raises :class:`SolverError`
-    as soon as a step fails to lower ||R||_F by the factor 1 - 1e-4; the
-    continuation recovers by halving its step."""
+    (:func:`_lifted_step`): the polish of a continuation trial on the
+    problem itself.  Every residual is evaluated in extended precision
+    (``np.longdouble``) and rounded, so the iteration is mixed-precision
+    iterative refinement.  It takes at least one step and returns after
+    the first step that brings ||R||_F to ``tol`` or below, with the
+    number of steps.  Raises :class:`SolverError` as soon as a step fails
+    to lower ||R||_F by the factor 1 - 1e-4; the continuation recovers by
+    halving its step."""
+
+    def residual(P):
+        R = _residual_matrix(prob, P.astype(np.longdouble)).astype(float)
+        return R, np.linalg.norm(R, "fro")
+
     P = 0.5 * (P0 + P0.T)
-    R = _residual_matrix(prob, P)
-    rnorm = np.linalg.norm(R, "fro")
-    for it in range(_NEWTON_MAX_ITER):
-        if rnorm <= tol:
+    R, rnorm = residual(P)
+    for it in range(1, _NEWTON_MAX_ITER + 1):
+        P = P - _lifted_step(prob, op, P, R)
+        P = 0.5 * (P + P.T)
+        R, rn = residual(P)
+        if rn <= tol:
             return P, it
-        Pn = P - _lifted_step(prob, op, P, R)
-        Pn = 0.5 * (Pn + Pn.T)
-        Rn = _residual_matrix(prob, Pn)
-        rn = np.linalg.norm(Rn, "fro")
-        if not (rn < rnorm * (1.0 - 1e-4) or rn <= tol):
+        if not rn < rnorm * (1.0 - 1e-4):
             raise SolverError(f"Newton stalled at a nonzero residual {rnorm:.3e}")
-        P, R, rnorm = Pn, Rn, rn
-    if rnorm <= tol:
-        return P, _NEWTON_MAX_ITER
+        rnorm = rn
     raise SolverError(
         f"Newton did not converge in {_NEWTON_MAX_ITER} iterations "
         f"(last residual {rnorm:.3e})"
@@ -498,20 +499,6 @@ def _reduced_newton(prob, x, op):
     return P, steps
 
 
-def _refine(prob: CEEProblem, P: np.ndarray, op) -> np.ndarray:
-    """One undamped lifted Newton step from P whose residual is evaluated
-    in extended precision (``np.longdouble``): mixed-precision iterative
-    refinement."""
-    L = np.longdouble
-    G = prob.Gamma.astype(L)
-    PL = P.astype(L)
-    x = PL[:, 0]
-    g = prob.u.astype(L) + prob.U.astype(L) @ (prob.sigma.astype(L) + G @ x)
-    R = PL - G @ (PL - x[:, None] * x) @ G.T - g[:, None] * g
-    P = P - _lifted_step(prob, op, P, R.astype(float))
-    return 0.5 * (P + P.T)
-
-
 def _sigma_family(prob: CEEProblem):
     """Path s -> CEEProblem(s) with ``prob``'s (u, U) and the numerator
     sigma(s) = reflection_to_tail(s gamma), gamma the reflection coefficients
@@ -554,15 +541,15 @@ def _continuation(family, operator, target: CEEProblem, tol: float,
     A trial is Newton on the n unknowns of x = Ph (:func:`_reduced_newton`)
     with the first-column operator ``operator(problem)``, and passes if its
     P is on the branch: an intermediate trial only seeds the next warm
-    start.  A trial on ``target`` is then polished in the full space:
-    Newton through lifted steps (:func:`_newton`) to 1e-9 (or ``tol``, if
-    looser), one extended-precision refinement step (:func:`_refine`) and
-    Newton at ``tol``; it passes only if P is still on the branch and a(z)
-    is Schur: a non-Schur a there is a failed trial like any other.  The
-    Schur test runs on ``target`` only; an accepted trial elsewhere may
-    carry a root of a on the unit circle to rounding.  A problem that fails
-    to build (:class:`DataError`, or a singular solve in
-    :func:`_ramp_family`) is a failed trial too.
+    start.  A trial on ``target`` is then polished in the full space by
+    one call of :func:`_newton`, Newton through lifted steps with its
+    residual in extended precision, at least one step and down to ``tol``;
+    it passes only if P is still on the branch and a(z) is Schur: a
+    non-Schur a there is a failed trial like any other.  The Schur test
+    runs on ``target`` only; an accepted trial elsewhere may carry a root
+    of a on the unit circle to rounding.  A problem that fails to build
+    (:class:`DataError`, or a singular solve in :func:`_ramp_family`) is a
+    failed trial too.
 
     A trial that clips to s = 1 and fails is not run again while the halved
     step still reaches s = 1: the problem, ``family(1.0)``, and the secant
@@ -570,10 +557,6 @@ def _continuation(family, operator, target: CEEProblem, tol: float,
     halving until it ends short of s = 1 or the path stalls.  Failed trials
     are not counted in the returned steps.
     """
-    # the reduced P is within reach of refinement only after full-space
-    # Newton at this looser tolerance (see "One corrector per trial" in
-    # notes/decisions.md)
-    sub_tol = max(tol, 1e-9)
     P_prev = None
     t = 0.0
     t_prev = 0.0
@@ -592,9 +575,8 @@ def _continuation(family, operator, target: CEEProblem, tol: float,
             if not _on_valid_branch(P_next):
                 raise SolverError("left the PSD h'Ph < 1 branch along the ramp")
             if trial is target:
-                P_next, more = _newton(trial, P_next, sub_tol, op)
-                P_next, last = _newton(trial, _refine(trial, P_next, op), tol, op)
-                nits += more + 1 + last
+                P_next, more = _newton(trial, P_next, tol, op)
+                nits += more
                 if not (_on_valid_branch(P_next)
                         and is_schur(extract_filter(trial, P_next)[0])):
                     raise SolverError("not the minimum-phase solution")
@@ -696,9 +678,11 @@ def solve_cee(prob: CEEProblem, options: Optional[SolveOptions] = None) -> CEESo
     given sigma.  If that gives up, warm-started solves along the data ramp
     of the problem itself follow.  Each trial is solved as Newton on the n
     unknowns of x = Ph; only the trial on the problem itself goes on to
-    full-space Newton through lifted steps.  The path reads only (sigma,
-    u, U), whatever the data source.  ``iterations`` counts the steps of
-    the accepted trials only (see :class:`CEESolution`).  Method
+    full-space Newton through lifted steps, with its residual in extended
+    precision and at least one step, to ``opts.tol``.  ``residual`` reports
+    the double-precision residual of the returned P.  The path reads only
+    (sigma, u, U), whatever the data source.  ``iterations`` counts the
+    steps of the accepted trials only (see :class:`CEESolution`).  Method
     "fixed-point" runs the plain iteration from P = 0 alone; it has no
     global convergence guarantee: the solution can be a repelling fixed
     point of the iteration map, in which case the sweep trips the

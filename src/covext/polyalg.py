@@ -17,6 +17,7 @@ from dataclasses import InitVar, dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DataError, PoleOnCircleError
 
@@ -124,9 +125,6 @@ class SchurPolynomial:
 
     def __call__(self, z):
         return np.polyval(self.full, z)
-
-    def roots(self) -> np.ndarray:
-        return np.roots(self.full) if self.degree else np.zeros(0, dtype=complex)
 
     def __repr__(self):
         return f"SchurPolynomial(degree={self.degree}, coeffs={self.coeffs})"
@@ -244,15 +242,12 @@ def solve_b(a: SchurPolynomial, sigma: SchurPolynomial, rho: float) -> np.ndarra
     n = a.degree
     af = a.full
     sf = sigma.full
-    M = np.zeros((n + 1, n + 1))
-    for m in range(n + 1):
-        for j in range(n + 1):
-            v = 0.0
-            if j >= m:
-                v += af[j - m]
-            if j + m <= n:
-                v += af[j + m]
-            M[m, j] = v
+    # M[m, j] = af[j - m] (j >= m) + af[j + m] (j + m <= n), each sum
+    # started from +0.0, so that a -0.0 coefficient enters M as +0.0
+    e = np.zeros(n + 1)
+    e[0] = af[0]
+    M = (np.zeros((n + 1, n + 1)) + scipy.linalg.toeplitz(e, af)
+         + scipy.linalg.hankel(af))
     rhs = 2.0 * rho * rho * _lag_products(sf, sf)
     try:
         b_full = np.linalg.solve(M, rhs)

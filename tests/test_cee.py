@@ -357,6 +357,30 @@ class TestContinuation:
         sigma_path_gives_up(monkeypatch)
         assert check(first_trial_fails)[1] > 0
 
+    def test_polish_is_refinement_on_an_extended_precision_residual(self, monkeypatch):
+        # the polish of a trial on the problem itself is one Newton whose
+        # residuals are computed in np.longdouble: mixed-precision iterative
+        # refinement.  From the solver's own P it still takes a step, and
+        # every residual it evaluates goes through _residual_matrix in long
+        # double
+        dtypes = []
+        residual_matrix = cee._residual_matrix
+
+        def spy(prob, P):
+            dtypes.append(P.dtype)
+            return residual_matrix(prob, P)
+
+        tol = SolveOptions().tol
+        for prob in corpus_slice():
+            P = solve_cee(prob).P
+            op = cee._operator(prob)
+            dtypes.clear()
+            with monkeypatch.context() as m:
+                m.setattr(cee, "_residual_matrix", spy)
+                _, steps = cee._newton(prob, P, tol, op)
+            assert steps >= 1
+            assert dtypes and all(dtype == np.longdouble for dtype in dtypes)
+
 
 @st.composite
 def first_column_points(draw):
@@ -920,7 +944,6 @@ class TestUniversality:
             cee._reduced_step,
             cee._lifted_step,
             cee._reduced_newton,
-            cee._refine,
             cee._ramp_family,
             cee._newton,
             cee._stein_matrix,

@@ -181,6 +181,42 @@ class TestSolveB:
             # numerator is Schur regardless of scaling
             assert is_schur(b_full[1:] / b_full[0])
 
+    def test_bit_identical_to_entrywise_sums(self):
+        # the reference builds M entry by entry from 0.0; solve_b's library
+        # Toeplitz and Hankel parts must give the same bits, signed zeros
+        # of b included, also for -0.0 coefficients
+        def reference(a, sigma, rho):
+            n = a.degree
+            af, sf = a.full, sigma.full
+            M = np.zeros((n + 1, n + 1))
+            for m in range(n + 1):
+                for j in range(n + 1):
+                    v = 0.0
+                    if j >= m:
+                        v += af[j - m]
+                    if j + m <= n:
+                        v += af[j + m]
+                    M[m, j] = v
+            rhs = np.array([np.dot(sf[: n + 1 - m], sf[m:]) for m in range(n + 1)])
+            return np.linalg.solve(M, 2.0 * rho * rho * rhs)
+
+        def tail(n, zeros):
+            # sum |c| < 1 makes the polynomial Schur
+            c = rng.uniform(-1.0, 1.0, n)
+            c *= 0.9 / max(1.0, float(np.sum(np.abs(c))))
+            c[rng.random(n) < zeros] = -0.0
+            return SchurPolynomial(c)
+
+        rng = np.random.default_rng(12)
+        for n in range(31):
+            for zeros in (0.0, 0.5, 1.0):
+                a, sigma = tail(n, zeros), tail(n, zeros)
+                rho = float(rng.uniform(0.2, 2.0))
+                b = solve_b(a, sigma, rho)
+                expected = reference(a, sigma, rho)
+                assert np.array_equal(b, expected)
+                assert np.array_equal(np.signbit(b), np.signbit(expected))
+
     def test_non_schur_a_can_be_singular(self):
         # roots at 2 and 1/2 pair across the circle: system singular
         a = SchurPolynomial([-2.5, 1.0], check=False)

@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import re
 from pathlib import Path
 
 from covext import cee
@@ -34,3 +35,28 @@ class TestCorpusDigest:
                     "ramp trials", "failed trials", "σ paths", "σ trials"):
             assert counts[key] > 0, key
         assert capsys.readouterr().out.startswith("test work  residuals ")
+
+    def test_perfbench_seeds_end_with_a_summary(self, capsys, monkeypatch):
+        # the last line sums up all pools: requests, failures, the worst
+        # |a err| with its seed/request, the count above 1e-8 and the time
+        tool = load_corpus_digest()
+        monkeypatch.setattr(tool, "PERFBENCH_REQUESTS", 14)
+        monkeypatch.setattr("sys.argv",
+                            ["corpus_digest.py", "--perfbench-seeds", "406,604"])
+        assert tool.main() == 0
+        lines = capsys.readouterr().out.splitlines()
+        worst = max(float(line.split()[-1]) for line in lines
+                    if line.startswith("perfbench seed ") and "|a err| worst" in line)
+        elapsed = sum(float(re.search(r"elapsed (\S+) s", line).group(1))
+                      for line in lines if "  requests 14  " in line)
+        summary = lines[-1]
+        assert summary.startswith("perfbench seeds 2  requests 28  failures 0 (none)  ")
+        assert f"|a err| worst {worst:.3e} (" in summary
+        total = float(re.search(r"elapsed (\S+) s$", summary).group(1))
+        assert abs(total - elapsed) <= 0.011
+        # failures and the worst request are named as seed/request
+        tool.perfbench_summary([(1, ([3], {0: 2e-8, 1: 1e-9}, 1.5)),
+                                (2, ([], {0: 5e-9}, 2.0))])
+        assert capsys.readouterr().out == (
+            "perfbench seeds 2  requests 28  failures 1 (1/3)  "
+            "|a err| worst 2.000e-08 (1/0)  above 1e-8 1  elapsed 3.50 s\n")

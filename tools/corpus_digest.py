@@ -90,7 +90,9 @@ pools instead: for each seed, the 770 requests of a 55 s run (rng
 (-0.95, 0.95)), each solved as the workload does.  Per seed it prints the
 failures with their texts, the requests with |a err| > 1e-8 and the worst
 |a err|, a sha256 over P bytes, method, iterations and error texts, and
-the work line.
+the work line.  A last line sums up all seeds: the requests, the failures
+as seed/request, the worst |a err| with its seed/request, how many
+requests have |a err| > 1e-8, and the total elapsed time.
 
 Run from any directory; the covext sources next to this script are used:
 
@@ -576,7 +578,9 @@ def perfbench_problems(seed):
         yield request, n, a, rho, problem_from_covariances(c, sigma)
 
 
-def perfbench_section(seed: int) -> None:
+def perfbench_section(seed: int):
+    """Solve and report the pool at ``seed``; returns (failed requests,
+    {request: |a err|}, elapsed seconds)."""
     opts = SolveOptions(max_iter=20_000)
     digest = hashlib.sha256()
     failures = []
@@ -604,6 +608,27 @@ def perfbench_section(seed: int) -> None:
     if a_err:
         print(f"perfbench seed {seed} |a err| worst {max(a_err.values()):.3e}")
     print(f"perfbench seed {seed} sha256 {digest.hexdigest()}")
+    return ([request for request, _, _ in failures],
+            {request: err for (request, _), err in a_err.items()}, elapsed)
+
+
+def perfbench_summary(results) -> None:
+    """One line over all pools, from (seed, perfbench_section's result)
+    pairs: requests, failures as seed/request, the worst |a err| with its
+    seed/request, the count above 1e-8 and the total elapsed time."""
+    failed = [f"{seed}/{request}" for seed, (failures, _, _) in results
+              for request in failures]
+    errors = {f"{seed}/{request}": err for seed, (_, a_err, _) in results
+              for request, err in a_err.items()}
+    line = (f"perfbench seeds {len(results)}  "
+            f"requests {PERFBENCH_REQUESTS * len(results)}  "
+            f"failures {len(failed)} ({', '.join(failed) or 'none'})")
+    if errors:
+        worst = max(errors, key=errors.get)
+        line += f"  |a err| worst {errors[worst]:.3e} ({worst})"
+    line += (f"  above 1e-8 {sum(err > 1e-8 for err in errors.values())}  "
+             f"elapsed {sum(elapsed for _, (_, _, elapsed) in results):.2f} s")
+    print(line)
 
 
 def main() -> int:
@@ -615,9 +640,11 @@ def main() -> int:
         return 0
     if "--perfbench-seeds" in sys.argv[1:]:
         seeds = sys.argv[sys.argv.index("--perfbench-seeds") + 1]
-        for seed in seeds.split(","):
+        results = []
+        for seed in map(int, seeds.split(",")):
             with counted_work(f"perfbench seed {seed}"):
-                perfbench_section(int(seed))
+                results.append((seed, perfbench_section(seed)))
+        perfbench_summary(results)
         return 0
     details = "--details" in sys.argv[1:]
     with counted_work("corpus"):
