@@ -17,6 +17,7 @@ data or from interpolation data and the solver code path is identical.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -290,9 +291,10 @@ def _first_column_operator(stein: np.ndarray):
     Stein solve of Q(x) and the CEE is x = F(x) := K vec Q(x), with K the
     first n rows of (I - Gamma (x) Gamma)^{-1}.  ``lu`` factors stein =
     I - Gamma (x) Gamma; K is returned symmetrized over the pair (i, j) of
-    Q's entries and laid out so that ``(K @ v).reshape(n, n)`` is the
-    matrix B(v) with B(v)[k, j] = sum_i Ks[k, i, j] v_i, hence
-    F(x) = B(g) g - B(Gamma x) Gamma x.  kappa bounds sum_ij |Ks[k, i, j]|.
+    Q's entries as the n x n x n array of the symmetric n x n matrices K_k
+    with F(x)_k = g'K_k g - (Gamma x)'K_k (Gamma x).  It depends on Gamma
+    alone; :func:`_quadratic` turns it into F's coefficients for one
+    problem.  kappa bounds sum_ij |K_k[i, j]|.
     """
     n = math.isqrt(stein.shape[0])
     lapack = scipy.linalg.lapack
@@ -301,9 +303,29 @@ def _first_column_operator(stein: np.ndarray):
     # weight of Q[i, j] in x_k (vec is column-major)
     rows, _ = lapack.dgetrs(lu, piv, np.eye(n * n, n), trans=1)
     T = rows.T.reshape(n, n, n)
-    Ks = 0.5 * (T + T.transpose(0, 2, 1))
-    kappa = float(np.abs(Ks).sum(axis=(1, 2)).max())
-    return (lu, piv), Ks.reshape(n * n, n), kappa
+    K = 0.5 * (T + T.transpose(0, 2, 1))
+    kappa = float(np.abs(K).sum(axis=(1, 2)).max())
+    return (lu, piv), K, kappa
+
+
+def _quadratic(prob: CEEProblem, op):
+    """The first-column form of ``prob`` through its operator ``op``
+    (:func:`_first_column_operator`): (lu, kappa, v0, V, F0, J0, H) with
+    [g; Gamma x] = v0 + V x, v0 = (c, 0), V = [M; Gamma], and the fixed
+    quadratic r(x) = x - F(x) = (J0 - H(x)) x - F0 with F0 = c'K_k c,
+    J0 = I - 2 c'K_k M, H_k = M'K_k M - Gamma'K_k Gamma and H(x) = H @ x,
+    so H(x) x = (x'H_k x)_k.  The Jacobian of r is J0 - 2 H(x).
+    """
+    lu, K, kappa = op
+    n = prob.n
+    G = prob.Gamma
+    M = prob.U @ G
+    c = prob.u + prob.U @ prob.sigma
+    Kc = K @ c
+    J0 = np.eye(n) - 2.0 * (Kc @ M)
+    H = M.T @ K @ M - G.T @ K @ G
+    v0 = np.concatenate((c, np.zeros(n)))
+    return lu, kappa, v0, np.concatenate((M, G)), Kc @ c, J0, H
 
 
 def _stein_solve(lu, Q: np.ndarray) -> np.ndarray:
@@ -315,20 +337,18 @@ def _stein_solve(lu, Q: np.ndarray) -> np.ndarray:
     return 0.5 * (P + P.T)
 
 
-def _reduced_step(Bg, By, M, G, r):
-    """The Newton step (I - F'(x))^{-1} r of the first-column form, with
-    I - F'(x) = I - 2 (B(g) M - B(Gamma x) Gamma) the n x n Jacobian of
-    x - F(x) (see :func:`_first_column_operator`).  Raises
-    :class:`SolverError` when that Jacobian is singular."""
-    A = -2.0 * (Bg @ M - By @ G)
-    A.flat[:: A.shape[0] + 1] += 1.0
-    _, _, d, info = scipy.linalg.lapack.dgesv(A, r)
+def _reduced_step(J0, Hx, r):
+    """The Newton step (J0 - 2 H(x))^{-1} r of the first-column form, with
+    J0 - 2 H(x) the n x n Jacobian of r(x) = x - F(x) and ``Hx`` = H(x)
+    (see :func:`_quadratic`).  Raises :class:`SolverError` when that
+    Jacobian is singular."""
+    _, _, d, info = scipy.linalg.lapack.dgesv(J0 - 2.0 * Hx, r)
     if info != 0:
         raise SolverError("singular first-column Jacobian")
     return d
 
 
-def _lifted_step(prob: CEEProblem, op, P: np.ndarray, R: np.ndarray) -> np.ndarray:
+def _lifted_step(form, P: np.ndarray, R: np.ndarray) -> np.ndarray:
     """The full-space Newton step delta from P, J delta = R, for the
     residual R = R(P) (or a more accurate value of it), from n x n work.
 
@@ -339,34 +359,29 @@ def _lifted_step(prob: CEEProblem, op, P: np.ndarray, R: np.ndarray) -> np.ndarr
         delta = L(R + DQ(x)[e]),   (I - F'(x)) e = L(R) h,
 
     where e = delta h follows from the first column of the first equation:
-    one n x n solve (:func:`_reduced_step`) and two Stein solves through
-    the LU factors in ``op`` (:func:`_first_column_operator`).
+    one n x n solve (:func:`_reduced_step`) with the Jacobian of the
+    problem's first-column form ``form`` (:func:`_quadratic`) and two
+    Stein solves through its LU factors.
     """
-    lu, K, _ = op
-    n = prob.n
-    G = prob.Gamma
-    M = prob.U @ G
-    g = g_of_P(prob, P)
-    y = G @ P[:, 0]
-    e = _reduced_step((K @ g).reshape(n, n), (K @ y).reshape(n, n), M, G,
-                      _stein_solve(lu, R)[:, 0])
-    Me = M @ e
-    Ge = G @ e
+    lu, _, v0, V, _, J0, H = form
+    x = P[:, 0]
+    e = _reduced_step(J0, H @ x, _stein_solve(lu, R)[:, 0])
+    g, y = np.split(v0 + V @ x, 2)
+    Me, Ge = np.split(V @ e, 2)
     DQ = Me[:, None] * g + g[:, None] * Me - Ge[:, None] * y - y[:, None] * Ge
     return _stein_solve(lu, R + DQ)
 
 
-def _newton(prob: CEEProblem, P0: np.ndarray, tol: float,
-            op) -> tuple[np.ndarray, int]:
+def _newton(prob: CEEProblem, P0: np.ndarray, tol: float, form) -> tuple[np.ndarray, int]:
     """Undamped full-space Newton on the residual map through lifted steps
-    (:func:`_lifted_step`): the polish of a continuation trial on the
-    problem itself.  Every residual is evaluated in extended precision
-    (``np.longdouble``) and rounded, so the iteration is mixed-precision
-    iterative refinement.  It takes at least one step and returns after
-    the first step that brings ||R||_F to ``tol`` or below, with the
-    number of steps.  Raises :class:`SolverError` as soon as a step fails
-    to lower ||R||_F by the factor 1 - 1e-4; the continuation recovers by
-    halving its step."""
+    (:func:`_lifted_step` with the first-column form ``form``): the polish
+    of a continuation trial on the problem itself.  Every residual is
+    evaluated in extended precision (``np.longdouble``) and rounded, so the
+    iteration is mixed-precision iterative refinement.  It takes at least
+    one step and returns after the first step that brings ||R||_F to
+    ``tol`` or below, with the number of steps.  Raises
+    :class:`SolverError` as soon as a step fails to lower ||R||_F by the
+    factor 1 - 1e-4; the continuation recovers by halving its step."""
 
     def residual(P):
         R = _residual_matrix(prob, P.astype(np.longdouble)).astype(float)
@@ -375,7 +390,7 @@ def _newton(prob: CEEProblem, P0: np.ndarray, tol: float,
     P = 0.5 * (P0 + P0.T)
     R, rnorm = residual(P)
     for it in range(1, _NEWTON_MAX_ITER + 1):
-        P = P - _lifted_step(prob, op, P, R)
+        P = P - _lifted_step(form, P, R)
         P = 0.5 * (P + P.T)
         R, rn = residual(P)
         if rn <= tol:
@@ -389,71 +404,64 @@ def _newton(prob: CEEProblem, P0: np.ndarray, tol: float,
     )
 
 
-def _reduced_newton(prob, x, op):
-    """Damped Newton on r(x) = x - F(x), the CEE on its first column
-    (:func:`_first_column_operator`, which gives ``op``) for the problem
-    ``prob``, from x.  Returns (P, steps) with P the Stein solve of Q(x) at
-    convergence, or raises :class:`SolverError`.
+def _reduced_newton(prob, x, form):
+    """Damped Newton on r(x) = x - F(x), the CEE on its first column, for
+    the problem ``prob`` from x, with ``form`` its first-column form
+    (:func:`_quadratic`).  Returns (P, steps) with P the Stein solve of Q(x)
+    at convergence, or raises :class:`SolverError`.
 
     Without damping its iterates are exactly the first columns of full-space
     Newton's: a full-space step from any P lands on the Stein solve of the
-    linearized Q, whose first column is the Newton step on r.  F is
-    quadratic, so along a step d
+    linearized Q, whose first column is the Newton step on r.  r is a fixed
+    quadratic in x, so a step costs H(x), the residual and one n x n solve,
+    and along a step d, r(x - t d) = (1 - t) r(x) - t^2 H(d) d exactly.
+    The backtracking tests t = 1, 1/2, ... on ||r|| for a decrease by the
+    factor 1 - 1e-4 t: the full step on its direct value, the others on
+    this model, then the accepted trial directly.  The iteration stops when
+    ||r|| is at its rounding level, 8 n eps (|x| + kappa (|g|^2 +
+    |Gamma x|^2)), or when the full step fails on its direct value while
+    the model passes it: the difference is then rounding.
 
-        r(x - t d) = (1 - t) r(x) - t^2 q,   q = K vec(M d d'M' - Gamma d d'Gamma'),
-
-    exactly.  The backtracking tests t = 1, 1/2, ... on ||r|| for a
-    decrease by the factor 1 - 1e-4 t: the full step on its direct value,
-    the others on this model, then the accepted trial directly.  The
-    iteration stops when ||r|| is at its rounding level, 8 n eps (|x| +
-    kappa (|g|^2 + |Gamma x|^2)), or when the full step fails on its direct
-    value while the model passes it: the difference is then rounding.
-
-    K carries the forward error of the inverse, up to cond(I - Gamma (x)
-    Gamma) eps, and so does its fixed point.  The Stein solve through the LU
-    factors is backward stable instead, so x - Ph measures the full-space
-    residual; refinement steps on it, with the same n x n Jacobian, follow
-    while they lower it by the factor 1 - 1e-4.  The first step that does
-    not is Newton's estimate of x's distance to the solution.  When kappa
-    is large, the rounding level above can stop the iteration short of the
-    solution, where refinement cannot take over: a step longer than
-    eps^(1/4) (|x| + ||P||_F) there raises :class:`SolverError`.
+    K, and with it F0, J0 and H, carries the forward error of the inverse,
+    up to cond(I - Gamma (x) Gamma) eps, and so does its fixed point.  The
+    Stein solve through the LU factors is backward stable instead, so
+    x - Ph measures the full-space residual; refinement steps on it, with
+    the same n x n Jacobian, follow while they lower it by the factor
+    1 - 1e-4.  The first step that does not is Newton's estimate of x's
+    distance to the solution.  When kappa is large, the rounding level above
+    can stop the iteration short of the solution, where refinement cannot
+    take over: a step longer than eps^(1/4) (|x| + ||P||_F) there raises
+    :class:`SolverError`.
     """
-    lu, K, kappa = op
+    lu, kappa, v0, V, F0, J0, H = form
     n = prob.n
-    G = prob.Gamma
-    c = prob.u + prob.U @ prob.sigma
-    M = prob.U @ G
 
     def evaluate(x):
-        g = c + M @ x
-        y = G @ x
-        Bg = (K @ g).reshape(n, n)
-        By = (K @ y).reshape(n, n)
-        r = x - (Bg @ g - By @ y)
-        return g, y, Bg, By, r, math.sqrt(float(r @ r))
+        Hx = H @ x
+        r = (J0 - Hx) @ x - F0
+        return Hx, r, math.sqrt(float(r @ r))
 
-    g, y, Bg, By, r, rnorm = evaluate(x)
+    Hx, r, rnorm = evaluate(x)
     steps = 0
     while True:
-        floor = 8 * n * _EPS * (math.sqrt(float(x @ x))
-                                + kappa * float(g @ g + y @ y))
+        gy = v0 + V @ x
+        # |g|^2 + |Gamma x|^2
+        floor = 8 * n * _EPS * (math.sqrt(float(x @ x)) + kappa * float(gy @ gy))
         if rnorm <= floor:
             break
         if steps == _RAMP_NEWTON_MAX_ITER or not math.isfinite(rnorm):
             raise SolverError(
                 f"first-column Newton stalled at a nonzero residual {rnorm:.3e}"
             )
-        d = _reduced_step(Bg, By, M, G, r)
+        d = _reduced_step(J0, Hx, r)
         steps += 1
-        trial = evaluate(x - d)
-        if trial[5] < rnorm * (1.0 - 1e-4):
-            x = x - d
-            g, y, Bg, By, r, rnorm = trial
+        x1 = x - d
+        trial = evaluate(x1)
+        if trial[2] < rnorm * (1.0 - 1e-4):
+            x = x1
+            Hx, r, rnorm = trial
             continue
-        Md = M @ d
-        Gd = G @ d
-        q = (K @ Md).reshape(n, n) @ Md - (K @ Gd).reshape(n, n) @ Gd
+        q = (H @ d) @ d
         rq = float(r @ q)
         qq = float(q @ q)
         t = 1.0
@@ -472,7 +480,8 @@ def _reduced_newton(prob, x, op):
             # the exact model passes the full step that failed directly
             break
         x = x - t * d
-        g, y, Bg, By, r, rnorm = evaluate(x)
+        Hx, r, rnorm = evaluate(x)
+    g, y = gy[:n], gy[n:]
     P = _stein_solve(lu, g[:, None] * g - y[:, None] * y)
     e = x - P[:, 0]
     enorm = math.sqrt(float(e @ e))
@@ -480,13 +489,14 @@ def _reduced_newton(prob, x, op):
     floor = 8 * n * _EPS * scale
     while enorm > floor and steps < _RAMP_NEWTON_MAX_ITER:
         try:
-            d = _reduced_step(Bg, By, M, G, e)
+            d = _reduced_step(J0, Hx, e)
         except SolverError:
             break
         steps += 1
         x1 = x - d
-        g1, y1, Bg1, By1, _, _ = evaluate(x1)
-        P1 = _stein_solve(lu, g1[:, None] * g1 - y1[:, None] * y1)
+        gy = v0 + V @ x1
+        g, y = gy[:n], gy[n:]
+        P1 = _stein_solve(lu, g[:, None] * g - y[:, None] * y)
         e1 = x1 - P1[:, 0]
         e1norm = math.sqrt(float(e1 @ e1))
         if not e1norm < enorm * (1.0 - 1e-4):
@@ -495,7 +505,7 @@ def _reduced_newton(prob, x, op):
                     f"first-column Newton stalled at a nonzero residual {enorm:.3e}"
                 )
             break
-        x, Bg, By, P, e, enorm = x1, Bg1, By1, P1, e1, e1norm
+        x, Hx, P, e, enorm = x1, H @ x1, P1, e1, e1norm
     return P, steps
 
 
@@ -523,11 +533,24 @@ def _operator(prob: CEEProblem):
     return _first_column_operator(_stein_matrix(prob.Gamma))
 
 
+@functools.lru_cache(maxsize=8)
+def _shift_operator(n: int):
+    """:func:`_first_column_operator` at sigma = z^n, where Gamma is the
+    shift: it depends on n alone, so it is built once per n, on first use,
+    and kept read-only."""
+    op = _first_column_operator(_stein_matrix(companion(np.zeros(n))))
+    for arr in (*op[0], op[1]):
+        arr.setflags(write=False)
+    return op
+
+
 def _continuation(family, operator, target: CEEProblem, tol: float,
                   P: np.ndarray, step: float, min_step: float):
     """Newton along the path s -> ``family(s)``, s: ``0 -> 1``, from the
     solution ``P`` of ``family(0)`` with first step ``step``; returns P at
-    s = 1 and the Newton steps of the accepted trials.
+    s = 1, the Newton steps of the accepted trials and, when the path ends
+    on ``target``, the (a, rho) of :func:`extract_filter` there (else
+    None).
 
     Each trial reuses the previous solution as Newton's start, through a
     secant predictor once there are two, with the step in s halved whenever
@@ -539,7 +562,8 @@ def _continuation(family, operator, target: CEEProblem, tol: float,
     ``min_step``.
 
     A trial is Newton on the n unknowns of x = Ph (:func:`_reduced_newton`)
-    with the first-column operator ``operator(problem)``, and passes if its
+    with the first-column form (:func:`_quadratic`) of the trial's problem
+    through the operator ``operator(problem)``, and passes if its
     P is on the branch: an intermediate trial only seeds the next warm
     start.  A trial on ``target`` is then polished in the full space by
     one call of :func:`_newton`, Newton through lifted steps with its
@@ -561,6 +585,7 @@ def _continuation(family, operator, target: CEEProblem, tol: float,
     t = 0.0
     t_prev = 0.0
     total = 0
+    filt = None
     while t < 1.0:
         t_next = min(1.0, t + step)
         if P_prev is not None and t > t_prev:
@@ -570,15 +595,16 @@ def _continuation(family, operator, target: CEEProblem, tol: float,
             start = P
         try:
             trial = family(t_next)
-            op = operator(trial)
-            P_next, nits = _reduced_newton(trial, start[:, 0], op)
+            form = _quadratic(trial, operator(trial))
+            P_next, nits = _reduced_newton(trial, start[:, 0], form)
             if not _on_valid_branch(P_next):
                 raise SolverError("left the PSD h'Ph < 1 branch along the ramp")
             if trial is target:
-                P_next, more = _newton(trial, P_next, tol, op)
+                P_next, more = _newton(trial, P_next, tol, form)
                 nits += more
-                if not (_on_valid_branch(P_next)
-                        and is_schur(extract_filter(trial, P_next)[0])):
+                filt = (extract_filter(trial, P_next)
+                        if _on_valid_branch(P_next) else None)
+                if filt is None or not is_schur(filt[0]):
                     raise SolverError("not the minimum-phase solution")
         except (SolverError, DataError, np.linalg.LinAlgError):
             # DataError: sigma(s) rounds onto the unit circle; LinAlgError:
@@ -597,12 +623,13 @@ def _continuation(family, operator, target: CEEProblem, tol: float,
         P_prev, t_prev = P, t
         P, t = P_next, t_next
         step = min(2.0 * step, 0.5)
-    return P, total
+    return P, total, filt
 
 
-def _ramp(prob: CEEProblem, opts: SolveOptions) -> tuple[np.ndarray, int]:
-    """P of ``prob`` at ``opts.tol`` and the Newton steps of the accepted
-    trials of the continuation that delivered it (:func:`_continuation`).
+def _ramp(prob: CEEProblem, opts: SolveOptions):
+    """P of ``prob`` at ``opts.tol``, the Newton steps of the accepted
+    trials of the continuation that delivered it (:func:`_continuation`)
+    and the (a, rho) extracted from P, whose a passed the Schur test.
 
     The first trial is the whole data ramp of :func:`_ramp_family` at once,
     t = 1: Newton from P = 0 on the problem itself.  When it fails, the
@@ -629,13 +656,12 @@ def _ramp(prob: CEEProblem, opts: SolveOptions) -> tuple[np.ndarray, int]:
         pass
     try:
         start = CEEProblem(sigma=np.zeros(prob.n), u=prob.u, U=prob.U)
-        op_start = _operator(start)
-        P, its = along(_ramp_family(start), lambda _: op_start, zero, 1.0,
-                       _RAMP_MIN_STEP)
-        P, more = along(_sigma_family(prob),
-                        lambda trial: op if trial is prob else _operator(trial),
-                        P, 1.0, _SIGMA_MIN_STEP)
-        return P, its + more
+        P, its, _ = along(_ramp_family(start), lambda _: _shift_operator(prob.n),
+                          zero, 1.0, _RAMP_MIN_STEP)
+        P, more, filt = along(_sigma_family(prob),
+                              lambda trial: op if trial is prob else _operator(trial),
+                              P, 1.0, _SIGMA_MIN_STEP)
+        return P, its + more, filt
     except SolverError:
         pass
     return along(data, lambda _: op, zero, 0.5, _RAMP_MIN_STEP)
@@ -705,29 +731,20 @@ def solve_cee(prob: CEEProblem, options: Optional[SolveOptions] = None) -> CEESo
                 f"(last residual {cee_residual(prob, P):.3e})"
             )
         method = "fixed-point"
+        a, rho = extract_filter(prob, P)
+        a_schur = is_schur(a)
+        if not a_schur:
+            warnings.warn("extracted denominator is not Schur; treat the "
+                          "solution as diagnostic only", stacklevel=2)
     else:
-        P, its = _ramp(prob, opts)
+        # the continuation accepts P on the problem itself only with a Schur a
+        P, its, (a, rho) = _ramp(prob, opts)
+        a_schur = True
         method = "newton"
-    a, rho = extract_filter(prob, P)
-    g = g_of_P(prob, P)
-    b = a + 2.0 * g
-    a_schur = is_schur(a)
-    if not a_schur:
-        warnings.warn(
-            "extracted denominator is not Schur; treat the solution as "
-            "diagnostic only",
-            stacklevel=2,
-        )
     return CEESolution(
-        P=P,
-        a=a,
-        rho=rho,
-        b=b,
-        rank=rank_P(P, opts.rank_tol),
-        residual=cee_residual(prob, P),
-        iterations=its,
-        method=method,
-        a_is_schur=a_schur,
+        P=P, a=a, rho=rho, b=a + 2.0 * g_of_P(prob, P),
+        rank=rank_P(P, opts.rank_tol), residual=cee_residual(prob, P),
+        iterations=its, method=method, a_is_schur=a_schur,
     )
 
 

@@ -77,20 +77,6 @@ class Report:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "value": c.value,
-                    "threshold": c.threshold,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
-        }
-
 
 def _np_workdata(problem: InterpolationProblem, record: SolutionRecord):
     """Scaled data and coupling matrix the stored solution was solved
@@ -149,10 +135,9 @@ def verification_report(
         ),
         tols.factor_identity)
 
-    add("a_is_schur", 0.0 if is_schur(record.a) else 1.0, 0.5,
-        ok=is_schur(record.a))
-    add("b_is_schur", 0.0 if is_schur(record.b) else 1.0, 0.5,
-        ok=is_schur(record.b))
+    for name, poly in (("a_is_schur", record.a), ("b_is_schur", record.b)):
+        schur = is_schur(poly)
+        add(name, 0.0 if schur else 1.0, 0.5, ok=schur)
     add("hPh_below_one", float(P[0, 0]), 1.0, ok=P[0, 0] < 1.0)
     # rho = sqrt(1 - h'Ph) lies in (0, 1] once the data carries the c_0 = 1
     # normalization (both sources do after ingestion)

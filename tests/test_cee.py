@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from covext import cee
@@ -138,8 +138,8 @@ def random_newton_point(rng, n):
 
 def lifted_step(prob, P):
     """cee._lifted_step at P for the exact residual R(P)."""
-    op = cee._first_column_operator(cee._stein_matrix(prob.Gamma))
-    return cee._lifted_step(prob, op, P, cee._residual_matrix(prob, P))
+    form = cee._quadratic(prob, cee._first_column_operator(cee._stein_matrix(prob.Gamma)))
+    return cee._lifted_step(form, P, cee._residual_matrix(prob, P))
 
 
 class TestNewtonJacobian:
@@ -173,21 +173,20 @@ class TestLineSearch:
     def test_quadratic_identity(self):
         # the first-column residual r(x) = x - F(x) is quadratic in x, so
         # along the Newton step d, r(x - t d) = (1 - t) r(x) - t^2 q with
-        # q = K vec(M d d'M' - Gamma d d'Gamma'): the model the first-column
-        # Newton backtracks on, at all 34 of its trial lengths
+        # q = H(d) d = K vec(M d d'M' - Gamma d d'Gamma'): the model the
+        # first-column Newton backtracks on, at all 34 of its trial lengths;
+        # r itself is evaluated through B(g) and B(Gamma x)
         rng = np.random.default_rng(41)
         for n in range(1, 13):
             for _ in range(5):
                 prob, _ = random_newton_point(rng, n)
-                _, K, _ = cee._first_column_operator(cee._stein_matrix(prob.Gamma))
+                op = cee._first_column_operator(cee._stein_matrix(prob.Gamma))
+                _, _, _, _, _, J0, H = cee._quadratic(prob, op)
+                K = op[1]
                 x = rng.standard_normal(n)
-                _, _, Bg, By, F = first_column_terms(prob, K, x)
-                r0 = x - F
-                M = prob.U @ prob.Gamma
-                d = cee._reduced_step(Bg, By, M, prob.Gamma, r0)
-                Md = M @ d
-                Gd = prob.Gamma @ d
-                q = (K @ Md).reshape(n, n) @ Md - (K @ Gd).reshape(n, n) @ Gd
+                r0 = x - first_column_terms(prob, K, x)[4]
+                d = cee._reduced_step(J0, H @ x, r0)
+                q = (H @ d) @ d
                 scale = np.linalg.norm(r0) + np.linalg.norm(q) + np.linalg.norm(x)
                 for t in (2.0 ** -k for k in range(34)):
                     xt = x - t * d
@@ -244,7 +243,7 @@ def data_ramp_alone(prob, tol=SolveOptions().tol):
     step 1: the trial sequence of the solver without the numerator path."""
     op = cee._operator(prob)
     return cee._continuation(cee._ramp_family(prob), lambda _: op, prob, tol,
-                             np.zeros((prob.n, prob.n)), 1.0, cee._RAMP_MIN_STEP)
+                             np.zeros((prob.n, prob.n)), 1.0, cee._RAMP_MIN_STEP)[:2]
 
 
 class TestContinuation:
@@ -373,13 +372,24 @@ class TestContinuation:
         tol = SolveOptions().tol
         for prob in corpus_slice():
             P = solve_cee(prob).P
-            op = cee._operator(prob)
+            form = cee._quadratic(prob, cee._operator(prob))
             dtypes.clear()
             with monkeypatch.context() as m:
                 m.setattr(cee, "_residual_matrix", spy)
-                _, steps = cee._newton(prob, P, tol, op)
+                _, steps = cee._newton(prob, P, tol, form)
             assert steps >= 1
             assert dtypes and all(dtype == np.longdouble for dtype in dtypes)
+
+
+def first_column_point(gammas, seed):
+    """(problem, x): the Schur sigma of reflection coefficients ``gammas``,
+    dense (u, U) and a first column x drawn from ``seed``."""
+    n = len(gammas)
+    rng = np.random.default_rng(seed)
+    prob = CEEProblem(sigma=reflection_to_tail(np.array(gammas)),
+                      u=0.5 * rng.standard_normal(n),
+                      U=0.5 * rng.standard_normal((n, n)))
+    return prob, 0.5 * rng.standard_normal(n)
 
 
 @st.composite
@@ -388,11 +398,7 @@ def first_column_points(draw):
     coefficients in [-0.9, 0.9], dense (u, U) and a first column x."""
     n = draw(st.integers(1, 8))
     gammas = draw(st.lists(st.floats(-0.9, 0.9), min_size=n, max_size=n))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    prob = CEEProblem(sigma=reflection_to_tail(np.array(gammas)),
-                      u=0.5 * rng.standard_normal(n),
-                      U=0.5 * rng.standard_normal((n, n)))
-    return prob, 0.5 * rng.standard_normal(n)
+    return first_column_point(gammas, draw(st.integers(0, 2**32 - 1)))
 
 
 def first_column_terms(prob, K, x):
@@ -428,6 +434,55 @@ class TestFirstColumn:
         cond = stein_cond(prob)
         assert np.linalg.norm(F - P[:, 0]) <= 64 * prob.n * eps * cond * scale
 
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(first_column_points())
+    @example(first_column_point(np.linspace(-0.9, 0.9, 20), 20))
+    def test_quadratic_form_is_the_first_column_map(self, point):
+        # within one problem F(x) = B(g) g - B(Gamma x) Gamma x is the fixed
+        # quadratic F0 + (L + H(x)) x, L = I - J0, to rounding, and the
+        # Jacobian J0 - 2 H(x) of r(x) = x - F(x) is the central difference
+        # of r evaluated through B(g) and B(Gamma x); a quadratic's central
+        # difference is exact, so both sides differ by rounding alone
+        prob, x = point
+        n = prob.n
+        G = prob.Gamma
+        op = cee._first_column_operator(cee._stein_matrix(G))
+        K = op[1]
+        _, _, _, _, F0, J0, H = cee._quadratic(prob, op)
+        eps = np.finfo(float).eps
+
+        def rounding(xabs):
+            """32 n eps (a'|K_k| a + b'|K_k| b)_k, with a and b bounds on
+            |g| and |Gamma x| as either side forms them."""
+            a = (np.abs(prob.u) + np.abs(prob.U) @ (np.abs(prob.sigma) + np.abs(G) @ xabs)
+                 + np.abs(prob.U @ G) @ xabs)
+            b = np.abs(G) @ xabs
+            return 32 * n * eps * ((np.abs(K) @ a) @ a + (np.abs(K) @ b) @ b)
+
+        F = first_column_terms(prob, K, x)[4]
+        assert np.all(np.abs(F0 + (np.eye(n) - J0 + H @ x) @ x - F)
+                      <= rounding(np.abs(x)))
+        h = 0.5
+        fd = np.column_stack([
+            (first_column_terms(prob, K, x - h * e)[4]
+             - first_column_terms(prob, K, x + h * e)[4]) / (2 * h) + e
+            for e in np.eye(n)])
+        assert np.all(np.abs(fd - (J0 - 2.0 * H @ x))
+                      <= rounding(np.abs(x) + h)[:, None] / h)
+
+    def test_shift_operator_is_cached_read_only(self):
+        # at sigma = z^n the operator depends on n alone: every call gets
+        # the same read-only arrays, bit-identical to a fresh build
+        for n in (1, 4, 9):
+            (lu, piv), K, kappa = cee._shift_operator(n)
+            assert cee._shift_operator(n)[1] is K
+            fresh = cee._operator(CEEProblem(sigma=np.zeros(n), u=np.ones(n),
+                                             U=np.eye(n)))
+            assert np.array_equal(fresh[0][0], lu) and np.array_equal(fresh[0][1], piv)
+            assert np.array_equal(fresh[1], K) and fresh[2] == kappa
+            for arr in (lu, piv, K):
+                assert not arr.flags.writeable
+
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
     def test_solution_is_a_fixed_point(self, n, seed):
@@ -457,7 +512,8 @@ class TestFirstColumn:
         G = prob.Gamma
         stein = cee._stein_matrix(G)
         assume(np.linalg.cond(stein) <= 1e4)
-        lu, K, _ = cee._first_column_operator(stein)
+        op = cee._first_column_operator(stein)
+        lu, K, _ = op
         g0, y0, _, _, _ = first_column_terms(prob, K, x0)
         P = cee._stein_solve(lu, np.outer(g0, g0) - np.outer(y0, y0))
         J = kron_jacobian(prob, P)
@@ -465,9 +521,10 @@ class TestFirstColumn:
         full = P - np.linalg.solve(J, cee._residual_matrix(prob, P).ravel(order="F")
                                    ).reshape(n, n, order="F")
         x = P[:, 0]
-        g, y, Bg, By, F = first_column_terms(prob, K, x)
+        g, y, _, _, F = first_column_terms(prob, K, x)
         M = prob.U @ G
-        d = cee._reduced_step(Bg, By, M, G, x - F)
+        _, _, _, _, _, J0, H = cee._quadratic(prob, op)
+        d = cee._reduced_step(J0, H @ x, x - F)
         Md = M @ d
         Gd = G @ d
         Qlin = (np.outer(g, g) - np.outer(y, y) - np.outer(g, Md) - np.outer(Md, g)
@@ -502,14 +559,14 @@ class TestFirstColumn:
         for prob in corpus_slice():
             x_star = solve_cee(prob).P[:, 0]
             lu, K, kappa = cee._operator(prob)
+            form = cee._quadratic(prob, (lu, K, 1e30 * kappa))
             rng = np.random.default_rng(prob.n)
             for distance in (0.01, 0.1, 1.0):
                 for _ in range(5):
                     d = rng.standard_normal(prob.n)
                     d *= distance * np.linalg.norm(x_star) / np.linalg.norm(d)
                     try:
-                        P, _ = cee._reduced_newton(prob, x_star + d,
-                                                   (lu, K, 1e30 * kappa))
+                        P, _ = cee._reduced_newton(prob, x_star + d, form)
                     except SolverError:
                         failed += 1
                         continue
@@ -567,9 +624,11 @@ class TestFallback:
         trials.clear()
         sol = solve_cee(prob)
         assert labelled(trials, prob) == [("t", 1.0), ("t0", 1.0), ("s", 1.0)]
-        # the forced test, the check of sigma = z^n as its problem is built,
-        # the test at s = 1 and solve_cee's own
-        assert sol.a_is_schur and len(schur_calls) == 4
+        # the forced test, the check of sigma = z^n as its problem is built
+        # and the test at s = 1, whose a solve_cee reports without testing
+        # it again
+        assert sol.a_is_schur and len(schur_calls) == 3
+        assert schur_calls[-1] is sol.a
 
     def test_fragile_request_recovers_a(self):
         # perfbench corpus seed 2002 request 615 (n = 8): a t = 1 landing
@@ -617,7 +676,7 @@ class TestNumeratorPath:
         for prob in corpus_slice():
             trials.clear()
             built.clear()
-            P, steps = cee._ramp(prob, SolveOptions())
+            P, steps, _ = cee._ramp(prob, SolveOptions())
             if labelled(trials, prob) != [("t", 1.0)]:
                 continue
             assert not built
@@ -635,7 +694,7 @@ class TestNumeratorPath:
         fell_back = 0
         for prob in corpus_slice() + [perfbench_request(44, 111)[1]]:
             trials.clear()
-            P, steps = cee._ramp(prob, SolveOptions())
+            P, steps, _ = cee._ramp(prob, SolveOptions())
             fell_back += labelled(trials, prob)[-1] == ("t", 1.0) and len(trials) > 1
             P_data, steps_data = data_ramp_alone(prob)
             assert P.tobytes() == P_data.tobytes() and steps == steps_data
@@ -691,6 +750,25 @@ class TestEnvelope:
 
 
 class TestSolve:
+    def test_newton_path_extracts_the_filter_once(self, monkeypatch):
+        # the trial on the problem itself extracts (a, rho) for its Schur
+        # test; solve_cee reports that filter and extracts no other
+        calls = []
+        extract = cee.extract_filter
+
+        def spy(prob, P):
+            calls.append((P.tobytes(), extract(prob, P)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(cee, "extract_filter", spy)
+        for prob in corpus_slice():
+            calls.clear()
+            sol = solve_cee(prob)
+            assert len({P for P, _ in calls}) == len(calls)
+            assert calls[-1][0] == sol.P.tobytes()
+            a, rho = calls[-1][1]
+            assert a is sol.a and rho == sol.rho
+
     def test_scalar_sigma_zero(self):
         sol = solve_cee(scalar_problem(0.5, 0.0))
         assert sol.P[0, 0] == pytest.approx(0.25, abs=1e-12)
@@ -940,6 +1018,8 @@ class TestUniversality:
             cee._sigma_family,
             cee._operator,
             cee._first_column_operator,
+            cee._shift_operator,
+            cee._quadratic,
             cee._stein_solve,
             cee._reduced_step,
             cee._lifted_step,

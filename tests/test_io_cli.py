@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import covext.cli
 import covext.io
+import covext.pipeline
 from covext.cli import build_parser, main
 from covext.covdata import CovarianceSequence
 from covext.errors import DataError
@@ -609,6 +610,21 @@ class TestVerifyCommand:
         assert by_name["residual_matches_recorded"].value <= 1e-14
         assert by_name["match_value_matches_recorded"].value <= 1e-14
         assert by_name["pr_min_matches_recorded"].value <= 1e-14
+
+    def test_schur_checks_test_each_polynomial_once(self, cov_problem_geo,
+                                                    tmp_path, monkeypatch):
+        out = tmp_path / "sol.json"
+        main(["extend", str(cov_problem_geo), "--out", str(out)])
+        record = load_solution(out)
+        tested = []
+        is_schur = covext.pipeline.is_schur
+        monkeypatch.setattr(covext.pipeline, "is_schur",
+                            lambda p: tested.append(p) or is_schur(p))
+        report = verification_report(load_problem(cov_problem_geo), record)
+        by_name = {c.name: c for c in report.checks}
+        assert [list(p) for p in tested] == [list(record.a), list(record.b)]
+        assert by_name["a_is_schur"].passed and by_name["b_is_schur"].passed
+        assert by_name["a_is_schur"].value == 0.0 == by_name["b_is_schur"].value
 
     def test_nevpick_solution_verifies(self, np_problem, tmp_path):
         out = tmp_path / "sol.json"

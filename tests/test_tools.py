@@ -34,6 +34,12 @@ class TestCorpusDigest:
         for key in ("residuals", "lifted steps", "n×n steps", "operators",
                     "ramp trials", "failed trials", "σ paths", "σ trials"):
             assert counts[key] > 0, key
+        # "n×n steps" counts every n x n solve with the first-column
+        # Jacobian: those of the accepted trials are the reported iterations
+        # (first-column steps plus the lifted polish steps), the rest belong
+        # to failed trials
+        assert (counts["n×n steps"] - counts["n×n steps of failed trials"]
+                == sum(sol.iterations for sol in counted))
         assert capsys.readouterr().out.startswith("test work  residuals ")
 
     def test_perfbench_seeds_end_with_a_summary(self, capsys, monkeypatch):

@@ -51,7 +51,9 @@ steps (``cee._lifted_step``) and how many n x n solves with the
 first-column Jacobian (``cee._reduced_step``, which each lifted step also
 calls once) it took, both counting the iterations of failed continuation
 trials too, and how many first-column operators (``cee._first_column_operator``,
-one n^2 x n^2 LU each) it built.  Then the continuation trials
+one n^2 x n^2 LU each) it built; the operator at sigma = z^n is built once
+per n and process (``cee._shift_operator``), so a section that runs after
+another one may build none of those.  Then the continuation trials
 (``cee._continuation``, over all its runs): how many ran and how many
 failed, and how many lifted steps and n x n solves the failed trials took;
 failed trials on the problem itself (t = 1 of its data ramp, s = 1 of the
