@@ -42,6 +42,10 @@ _GRACE = 10
 # the first-column Newton of each continuation trial
 _NEWTON_MAX_ITER = 100
 _RAMP_NEWTON_MAX_ITER = 25
+# the shortest damped step the first-column Newton tries before it fails
+# the trial (Deuflhard's lambda_min; see "Damping floor" in
+# notes/decisions.md)
+_DAMPING_FLOOR = 1.0 / 16
 # the data ramp stalls, and the numerator path gives up, once its step in
 # t or s would fall below these (see "Numerator continuation" in
 # notes/decisions.md)
@@ -247,14 +251,23 @@ def _on_valid_branch(P: np.ndarray) -> bool:
     """The sought solution is a state covariance: symmetric positive
     semidefinite with h'Ph < 1.  The equation has further exact symmetric
     solutions with h'Ph < 1 that are indefinite or negative definite;
-    those must be rejected."""
-    if not np.all(np.isfinite(P)):
+    those must be rejected.
+
+    Semidefinite means lambda_min(P) >= -delta, delta = 1e-9 max(1,
+    max|P|), decided by one Cholesky factorization of P + delta I: it
+    succeeds exactly when that matrix is positive definite, so the test
+    differs from one on the eigenvalues only within rounding of the
+    margin."""
+    # nan and inf propagate through the max: it is finite iff P is
+    size = float(np.abs(P).max())
+    if not math.isfinite(size) or P[0, 0] >= 1.0:
         return False
-    if P[0, 0] >= 1.0:
-        return False
-    lam_min = float(np.linalg.eigvalsh(P)[0])
-    scale = max(1.0, float(np.max(np.abs(P))))
-    return lam_min >= -1e-9 * scale
+    A = P.copy()
+    A.reshape(-1)[::P.shape[0] + 1] += 1e-9 * max(1.0, size)
+    # A is symmetric, so its transpose is the Fortran-ordered array LAPACK
+    # factors in place
+    _, info = scipy.linalg.lapack.dpotrf(A.T, clean=0, overwrite_a=1)
+    return info == 0
 
 
 def _ramp_family(prob: CEEProblem):
@@ -404,6 +417,11 @@ def _newton(prob: CEEProblem, P0: np.ndarray, tol: float, form) -> tuple[np.ndar
     )
 
 
+class _DampingFloorError(SolverError):
+    """The first-column Newton found no damped step down to
+    ``_DAMPING_FLOOR`` that lowers the residual."""
+
+
 def _reduced_newton(prob, x, form):
     """Damped Newton on r(x) = x - F(x), the CEE on its first column, for
     the problem ``prob`` from x, with ``form`` its first-column form
@@ -415,11 +433,15 @@ def _reduced_newton(prob, x, form):
     linearized Q, whose first column is the Newton step on r.  r is a fixed
     quadratic in x, so a step costs H(x), the residual and one n x n solve,
     and along a step d, r(x - t d) = (1 - t) r(x) - t^2 H(d) d exactly.
-    The backtracking tests t = 1, 1/2, ... on ||r|| for a decrease by the
-    factor 1 - 1e-4 t: the full step on its direct value, the others on
-    this model, then the accepted trial directly.  The iteration stops when
-    ||r|| is at its rounding level, 8 n eps (|x| + kappa (|g|^2 +
-    |Gamma x|^2)), or when the full step fails on its direct value while
+    The backtracking tests t = 1, 1/2, ..., ``_DAMPING_FLOOR`` = 1/16 on
+    ||r|| for a decrease by the factor 1 - 1e-4 t: the full step on its
+    direct value, the others on this model, then the accepted trial
+    directly.  When no t down to the damping floor passes, the iterate is
+    crawling toward a nonzero local minimum of ||r||, and the trial fails
+    with :class:`_DampingFloorError`, a :class:`SolverError` (Deuflhard's
+    lambda_min test); the continuation halves its step.  The iteration
+    stops when ||r|| is at its rounding level, 8 n eps (|x| + kappa (|g|^2
+    + |Gamma x|^2)), or when the full step fails on its direct value while
     the model passes it: the difference is then rounding.
 
     K, and with it F0, J0 and H, carries the forward error of the inverse,
@@ -435,9 +457,11 @@ def _reduced_newton(prob, x, form):
     """
     lu, kappa, v0, V, F0, J0, H = form
     n = prob.n
+    # H(x) = H @ x as one (n^2 x n) matrix-vector product
+    Hm = H.reshape(n * n, n)
 
     def evaluate(x):
-        Hx = H @ x
+        Hx = (Hm @ x).reshape(n, n)
         r = (J0 - Hx) @ x - F0
         return Hx, r, math.sqrt(float(r @ r))
 
@@ -461,11 +485,11 @@ def _reduced_newton(prob, x, form):
             x = x1
             Hx, r, rnorm = trial
             continue
-        q = (H @ d) @ d
+        q = (Hm @ d).reshape(n, n) @ d
         rq = float(r @ q)
         qq = float(q @ q)
         t = 1.0
-        while t > 1e-10:
+        while t >= _DAMPING_FLOOR:
             # ||(1 - t) r - t^2 q||^2
             a, b = 1.0 - t, t * t
             model = a * a * rnorm * rnorm - 2.0 * a * b * rq + b * b * qq
@@ -473,8 +497,9 @@ def _reduced_newton(prob, x, form):
                 break
             t *= 0.5
         else:
-            raise SolverError(
-                f"first-column Newton stalled at a nonzero residual {rnorm:.3e}"
+            raise _DampingFloorError(
+                f"first-column Newton stalled at a nonzero residual {rnorm:.3e} "
+                "at the damping floor"
             )
         if t == 1.0:
             # the exact model passes the full step that failed directly
@@ -505,7 +530,7 @@ def _reduced_newton(prob, x, form):
                     f"first-column Newton stalled at a nonzero residual {enorm:.3e}"
                 )
             break
-        x, Hx, P, e, enorm = x1, H @ x1, P1, e1, e1norm
+        x, Hx, P, e, enorm = x1, (Hm @ x1).reshape(n, n), P1, e1, e1norm
     return P, steps
 
 

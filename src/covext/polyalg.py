@@ -34,19 +34,21 @@ def _tail_vector(coeffs) -> np.ndarray:
 def _step_down(p) -> list:
     """Reflection coefficients of the monic polynomial ``p`` from the last,
     gamma_n, gamma_(n-1), ... (Schur-Cohn step-down recursion), ending early
-    after the first one outside (-1, 1)."""
+    after the first one outside (-1, 1).  Runs on a list of Python floats:
+    the same IEEE operations as on an array, without numpy's per-call cost
+    at these sizes."""
     if isinstance(p, SchurPolynomial):
-        t = np.asarray(p.coeffs, dtype=float)
-    else:
-        t = np.asarray(p, dtype=float).ravel()
+        p = p.coeffs
+    t = np.asarray(p, dtype=float).ravel().tolist()
     gammas = []
-    while t.size:
-        gamma = float(t[-1])
+    while t:
+        gamma = t[-1]
         gammas.append(gamma)
         # false for nan as well
         if not abs(gamma) < 1.0:
             break
-        t = (t[:-1] - gamma * t[-2::-1]) / (1.0 - gamma * gamma)
+        scale = 1.0 - gamma * gamma
+        t = [(t[i] - gamma * t[-2 - i]) / scale for i in range(len(t) - 1)]
     return gammas
 
 

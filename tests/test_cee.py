@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -193,6 +194,89 @@ class TestLineSearch:
                     rt = xt - first_column_terms(prob, K, xt)[4]
                     model = (1.0 - t) * r0 - t * t * q
                     assert np.linalg.norm(rt - model) <= 1e-12 * scale
+
+    def test_stalling_trial_fails_at_the_damping_floor(self, monkeypatch):
+        # benchmark corpus seed 9702 request 40 (n = 7): the first trial's
+        # damped Newton from P = 0 creeps toward a nonzero local minimum of
+        # ||r||.  Backtracking down to t = 2^-33 runs all 25 steps of the
+        # cap and ends less than 1% below the residual where the damping
+        # floor of 1/16 fails the trial, in fewer steps
+        _, prob = perfbench_request(9702, 40)
+        assert prob.n == 7
+        form = cee._quadratic(prob, cee._operator(prob))
+        steps = []
+        reduced_step = cee._reduced_step
+        monkeypatch.setattr(cee, "_reduced_step",
+                            lambda *args: steps.append(args) or reduced_step(*args))
+
+        def first_trial():
+            """(n x n steps, error) of the first-column Newton from 0."""
+            steps.clear()
+            with pytest.raises(SolverError) as info:
+                cee._reduced_newton(prob, np.zeros(prob.n), form)
+            return len(steps), info.value
+
+        def residual(exc):
+            return float(re.search(r"residual (\S+)", str(exc)).group(1))
+
+        floored, floor_exc = first_trial()
+        assert floored < cee._RAMP_NEWTON_MAX_ITER
+        assert isinstance(floor_exc, cee._DampingFloorError)
+        monkeypatch.setattr(cee, "_DAMPING_FLOOR", 2.0 ** -33)
+        crawled, crawl_exc = first_trial()
+        assert crawled == cee._RAMP_NEWTON_MAX_ITER
+        assert not isinstance(crawl_exc, cee._DampingFloorError)
+        assert 0.99 * residual(floor_exc) < residual(crawl_exc) <= residual(floor_exc)
+
+
+def branch_reference(P):
+    """_on_valid_branch's decision through eigvalsh: P finite, h'Ph < 1 and
+    lambda_min(P) >= -1e-9 max(1, max|P|)."""
+    if not np.all(np.isfinite(P)) or P[0, 0] >= 1.0:
+        return False
+    delta = 1e-9 * max(1.0, float(np.max(np.abs(P))))
+    return float(np.linalg.eigvalsh(P)[0]) >= -delta
+
+
+@st.composite
+def branch_points(draw):
+    """A symmetric P of order n = 1..10: A A' - C C' - s delta I, with
+    A A' of rank 0..n, C C' of rank 0..2 (P is then mostly indefinite),
+    delta the branch margin of A A' - C C' and s in [-3, 3], so that
+    lambda_min(P) lies on either side of the margin."""
+    n = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = 10.0 ** draw(st.floats(-3.0, 1.5))
+    A = size * rng.standard_normal((n, draw(st.integers(0, n))))
+    B = A @ A.T
+    if draw(st.booleans()) and B[0, 0] > 0.25:
+        # h'Ph = 1/4: the semidefinite test decides
+        c = 0.5 / np.sqrt(B[0, 0])
+        B[0, :] *= c
+        B[:, 0] *= c
+    C = size * rng.standard_normal((n, draw(st.integers(0, 2))))
+    B = B - C @ C.T
+    delta = 1e-9 * max(1.0, float(np.max(np.abs(B))))
+    P = B - draw(st.floats(-3.0, 3.0)) * delta * np.eye(n)
+    return 0.5 * (P + P.T)
+
+
+class TestBranch:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(branch_points())
+    @example(np.array([[np.nan]]))
+    @example(np.array([[1.0, 0.0], [0.0, 2.0]]))
+    @example(np.diag([0.5, 0.0]) - 0.99e-9 * np.eye(2))
+    @example(np.diag([0.5, 0.0]) - 1.01e-9 * np.eye(2))
+    def test_cholesky_decides_as_eigvalsh(self, P):
+        # one Cholesky factorization of P + delta I decides lambda_min(P)
+        # >= -delta as the eigenvalues do, wherever lambda_min is not within
+        # rounding of -delta
+        if np.all(np.isfinite(P)):
+            scale = max(1.0, float(np.max(np.abs(P))))
+            lam = float(np.linalg.eigvalsh(P)[0])
+            assume(abs(lam + 1e-9 * scale) > 1e-12 * scale)
+        assert cee._on_valid_branch(P) == branch_reference(P)
 
 
 def path_trials(monkeypatch):
@@ -440,9 +524,9 @@ class TestFirstColumn:
     def test_quadratic_form_is_the_first_column_map(self, point):
         # within one problem F(x) = B(g) g - B(Gamma x) Gamma x is the fixed
         # quadratic F0 + (L + H(x)) x, L = I - J0, to rounding, and the
-        # Jacobian J0 - 2 H(x) of r(x) = x - F(x) is the central difference
-        # of r evaluated through B(g) and B(Gamma x); a quadratic's central
-        # difference is exact, so both sides differ by rounding alone
+        # Jacobian L + 2 H(x) of F is the central difference of F evaluated
+        # through B(g) and B(Gamma x); a quadratic's central difference is
+        # exact, so both sides differ by rounding alone
         prob, x = point
         n = prob.n
         G = prob.Gamma
@@ -459,15 +543,18 @@ class TestFirstColumn:
             b = np.abs(G) @ xabs
             return 32 * n * eps * ((np.abs(K) @ a) @ a + (np.abs(K) @ b) @ b)
 
+        # J0 = I - L with L = 2 c'K_k M; the identity is left out of the
+        # comparisons below, so that only K's terms round
+        L = 2.0 * ((K @ (prob.u + prob.U @ prob.sigma)) @ (prob.U @ G))
+        assert np.array_equal(J0, np.eye(n) - L)
         F = first_column_terms(prob, K, x)[4]
-        assert np.all(np.abs(F0 + (np.eye(n) - J0 + H @ x) @ x - F)
-                      <= rounding(np.abs(x)))
+        assert np.all(np.abs(F0 + (L + H @ x) @ x - F) <= rounding(np.abs(x)))
         h = 0.5
         fd = np.column_stack([
             (first_column_terms(prob, K, x - h * e)[4]
-             - first_column_terms(prob, K, x + h * e)[4]) / (2 * h) + e
+             - first_column_terms(prob, K, x + h * e)[4]) / (2 * h)
             for e in np.eye(n)])
-        assert np.all(np.abs(fd - (J0 - 2.0 * H @ x))
+        assert np.all(np.abs(fd + (L + 2.0 * H @ x))
                       <= rounding(np.abs(x) + h)[:, None] / h)
 
     def test_shift_operator_is_cached_read_only(self):
@@ -609,7 +696,8 @@ class TestFallback:
         # test to fail there makes it a failed trial, and the numerator path
         # takes over: the data ramp at sigma = z^n, which has no Schur test,
         # then sigma(s) from there, whose trial at s = 1 is on the problem
-        prob = corpus_slice(per_degree=1)[1]
+        prob = corpus_slice()[15]
+        assert prob.n == 7
         trials = path_trials(monkeypatch)
         solve_outcome(prob)
         assert labelled(trials, prob) == [("t", 1.0)]

@@ -32,7 +32,8 @@ class TestCorpusDigest:
         for a, b in zip(plain, counted):
             assert a.P.tobytes() == b.P.tobytes() and a.iterations == b.iterations
         for key in ("residuals", "lifted steps", "n×n steps", "operators",
-                    "ramp trials", "failed trials", "σ paths", "σ trials"):
+                    "ramp trials", "failed trials", "trials at the damping floor",
+                    "σ paths", "σ trials"):
             assert counts[key] > 0, key
         # "n×n steps" counts every n x n solve with the first-column
         # Jacobian: those of the accepted trials are the reported iterations

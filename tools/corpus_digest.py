@@ -57,14 +57,17 @@ another one may build none of those.  Then the continuation trials
 (``cee._continuation``, over all its runs): how many ran and how many
 failed, and how many lifted steps and n x n solves the failed trials took;
 failed trials on the problem itself (t = 1 of its data ramp, s = 1 of the
-numerator path) are also counted on their own.  Last, how many numerator
-paths started (one data ramp at sigma = z^n each), how many of the trials
-were sigma trials and how many of those failed, how many sigma paths gave
-up at their step floor, and how many solves fell back to the data ramp
-(after a give-up or a stalled ramp at z^n).  The counts come from wrapping
-those module functions and ``cee._ramp_family`` and ``cee._sigma_family``
-here; the wrappers change no result: the P bytes of every corpus solve are
-the same with and without them.
+numerator path) are also counted on their own, and so are the trials whose
+first-column Newton (``cee._reduced_newton``) failed at its damping floor,
+where no damped step down to ``cee._DAMPING_FLOOR`` lowered the residual.
+Last, how many numerator paths started (one data ramp at sigma = z^n
+each), how many of the trials were sigma trials and how many of those
+failed, how many sigma paths gave up at their step floor, and how many
+solves fell back to the data ramp (after a give-up or a stalled ramp at
+z^n).  The counts come from wrapping those module functions and
+``cee._ramp_family`` and ``cee._sigma_family`` here; the wrappers change
+no result: the P bytes of every corpus solve are the same with and
+without them.
 
 The cli section also prints a validation line: how many documents
 (problems and solutions, read or written) were validated, how many the
@@ -165,20 +168,22 @@ LARGE_N_STRATA = tuple((n, r) for r in (0.5, 0.8, 0.95) for n in (12, 16, 20))
 @contextlib.contextmanager
 def counted_work(section: str):
     """Count residual evaluations, lifted steps, n x n solves, first-column
-    operators and continuation trials inside the block, then print them as
-    the section's work line.  Yields the dict of counts."""
+    operators, continuation trials and damping-floor failures inside the
+    block, then print them as the section's work line.  Yields the dict of
+    counts."""
     counts = {"residuals": 0, "lifted steps": 0, "n×n steps": 0,
               "operators": 0, "ramp trials": 0, "failed trials": 0,
               "failed trials at t=1": 0,
               "lifted steps of failed trials": 0,
               "lifted steps of failed trials at t=1": 0,
               "n×n steps of failed trials": 0,
+              "trials at the damping floor": 0,
               "σ paths": 0, "σ trials": 0, "failed σ trials": 0,
               "σ give-ups": 0, "fallbacks": 0}
     originals = {name: getattr(cee, name) for name in
                  ("_residual_matrix", "_lifted_step", "_reduced_step",
                   "_first_column_operator", "_continuation", "_ramp_family",
-                  "_sigma_family")}
+                  "_sigma_family", "_reduced_newton")}
 
     def counter(name, key):
         def counted(*args):
@@ -244,6 +249,13 @@ def counted_work(section: str):
         finally:
             tally(trials, stalled, family.sigma)
 
+    def reduced_newton(*args):
+        try:
+            return originals["_reduced_newton"](*args)
+        except cee._DampingFloorError:
+            counts["trials at the damping floor"] += 1
+            raise
+
     cee._residual_matrix = counter("_residual_matrix", "residuals")
     cee._lifted_step = counter("_lifted_step", "lifted steps")
     cee._reduced_step = counter("_reduced_step", "n×n steps")
@@ -251,6 +263,7 @@ def counted_work(section: str):
     cee._ramp_family = tagged("_ramp_family")
     cee._sigma_family = tagged("_sigma_family")
     cee._continuation = continuation
+    cee._reduced_newton = reduced_newton
     try:
         yield counts
     finally:
