@@ -130,8 +130,9 @@ class CEESolution:
     accepted trials of the continuation that delivered P, and the lifted
     full-space Newton steps (at least one) that polished its last trial,
     the one on the problem itself: the first trial, the numerator path
-    (its data ramp at sigma = z^n included) or the data-ramp fallback.
-    Failed trials, and a numerator path that gave up, are not counted.
+    (its data ramp at sigma = z^n included; a closed-form start there
+    counts 0 steps) or the data-ramp fallback.  Failed trials, and a
+    numerator path that gave up, are not counted.
     """
 
     P: np.ndarray
@@ -149,12 +150,13 @@ class CEESolution:
 class SolveOptions:
     """Solver controls.
 
-    method "auto" (the default) and "newton" name the same path: Newton
-    from P = 0 on the problem itself, then, if that fails, continuation to
-    it in the numerator sigma from sigma = z^n, and last the continuation
-    in the data parameters; a continuation halves its step while a trial
-    stalls, lands off the PSD h'Ph < 1 branch or, on the problem itself,
-    ends with a non-Schur a (see :func:`solve_cee`).
+    method "auto" (the default) and "newton" name the same path:
+    continuation to the problem in the numerator sigma from sigma = z^n,
+    started at the closed-form solution there when it exists, else after
+    Newton from P = 0 on the problem itself has failed; last, the
+    continuation in the data parameters.  A continuation halves its step
+    while a trial stalls, lands off the PSD h'Ph < 1 branch or, on the
+    problem itself, ends with a non-Schur a (see :func:`solve_cee`).
     "fixed-point" runs the paper's plain iteration from P = 0 alone, with a budget of
     ``max_iter`` steps; ``divergence_guard`` aborts that sweep once
     h'Ph >= 1 after the first ``_GRACE`` steps, appropriate when the data
@@ -379,8 +381,10 @@ def _lifted_step(form, P: np.ndarray, R: np.ndarray) -> np.ndarray:
     lu, _, v0, V, _, J0, H = form
     x = P[:, 0]
     e = _reduced_step(J0, H @ x, _stein_solve(lu, R)[:, 0])
-    g, y = np.split(v0 + V @ x, 2)
-    Me, Ge = np.split(V @ e, 2)
+    n = x.size
+    gy = v0 + V @ x
+    Ve = V @ e
+    g, y, Me, Ge = gy[:n], gy[n:], Ve[:n], Ve[n:]
     DQ = Me[:, None] * g + g[:, None] * Me - Ge[:, None] * y - y[:, None] * Ge
     return _stein_solve(lu, R + DQ)
 
@@ -569,6 +573,55 @@ def _shift_operator(n: int):
     return op
 
 
+def _central(prob: CEEProblem) -> Optional[np.ndarray]:
+    """The solution P at sigma = z^n for ``prob``'s (u, U), in closed form,
+    or None.
+
+    With lags c = (I - U)^{-1} u, the PSD h'Ph < 1 solution at sigma = z^n
+    is the maximum-entropy one when those are covariance lags: a is the
+    Levinson-Durbin predictor of (1, c_1, ..., c_n) and rho^2 its
+    prediction-error variance.  Then x = Ph has x_1 = 1 - rho^2 and, from
+    a = (I - U) Gamma x - u at sigma = 0, (x_2, ..., x_n, 0) = Gamma x =
+    (I - U)^{-1} (a + u); P is the Stein solve of g g' - (Gamma x)(Gamma x)'
+    with g = u + U Gamma x.  None unless I - U is nonsingular, every
+    reflection coefficient lies in (-1, 1) and the candidate solves the
+    equation at z^n to rounding, ||x - Ph|| <= 128 n eps (||x|| + ||P||_F),
+    on the PSD h'Ph < 1 branch.  The test is numerical and reads only
+    (u, U): interpolation parameters fail it and take the ramp instead.
+    """
+    n = prob.n
+    lapack = scipy.linalg.lapack
+    lu, piv, info = lapack.dgetrf(np.eye(n) - prob.U)
+    if info != 0:
+        return None
+    # the recursion runs on Python floats: at small n, numpy's per-call
+    # cost would dominate it
+    c = lapack.dgetrs(lu, piv, prob.u)[0].tolist()
+    a = []
+    err = 1.0
+    # x_1 = 1 - rho^2 summed as it grows, without the cancellation of
+    # 1 - rho^2 when rho^2 is close to 1
+    x1 = 0.0
+    for m in range(n):
+        k = -(c[m] + sum(ai * cj for ai, cj in zip(a, reversed(c[:m])))) / err
+        if not abs(k) < 1.0:
+            return None
+        a = [ai + k * aj for ai, aj in zip(a, reversed(a))] + [k]
+        x1 += err * k * k
+        err *= 1.0 - k * k
+    # y = Gamma x = (x_2, ..., x_n, 0)
+    y = lapack.dgetrs(lu, piv, np.add(a, prob.u))[0]
+    y[n - 1] = 0.0
+    x = np.concatenate(([x1], y[:n - 1]))
+    g = prob.u + prob.U @ y
+    P = _stein_solve(_shift_operator(n)[0], g[:, None] * g - y[:, None] * y)
+    e = x - P[:, 0]
+    scale = math.sqrt(float(x @ x)) + math.sqrt(float(np.vdot(P, P)))
+    if not (math.sqrt(float(e @ e)) <= 128 * n * _EPS * scale and _on_valid_branch(P)):
+        return None
+    return P
+
+
 def _continuation(family, operator, target: CEEProblem, tol: float,
                   P: np.ndarray, step: float, min_step: float):
     """Newton along the path s -> ``family(s)``, s: ``0 -> 1``, from the
@@ -656,16 +709,19 @@ def _ramp(prob: CEEProblem, opts: SolveOptions):
     trials of the continuation that delivered it (:func:`_continuation`)
     and the (a, rho) extracted from P, whose a passed the Schur test.
 
-    The first trial is the whole data ramp of :func:`_ramp_family` at once,
-    t = 1: Newton from P = 0 on the problem itself.  When it fails, the
-    numerator path runs: the data ramp of the same (u, U) at sigma = z^n,
-    where Gamma is nilpotent and the ramp is short, then the path
-    :func:`_sigma_family` from there to ``prob``, with the first-column
-    operator rebuilt for each trial.  If either gives up (the ramp at
-    z^n stalls, or the path's step falls below ``_SIGMA_MIN_STEP``), the
-    data ramp of ``prob`` goes on from t = 0 with step 1/2: the trials the
-    data ramp alone runs after its failed first one, so the result is then
-    the data ramp's own, bit for bit.
+    When :func:`_central` gives the solution at sigma = z^n in closed form,
+    the path :func:`_sigma_family` starts from it with step 1: its first
+    trial is s = 1, the problem itself.  Otherwise the first trial is the
+    whole data ramp of :func:`_ramp_family` at once, t = 1: Newton from
+    P = 0 on the problem itself.  When it fails, the numerator path runs:
+    the data ramp of the same (u, U) at sigma = z^n, where Gamma is
+    nilpotent and the ramp is short, then the path :func:`_sigma_family`
+    from there to ``prob``, with the first-column operator rebuilt for each
+    trial.  If either gives up (the ramp at z^n stalls, or the path's step
+    falls below ``_SIGMA_MIN_STEP``), the data ramp of ``prob`` goes on from
+    t = 0 with step 1/2: the trials the data ramp alone runs after a failed
+    first one, so without a closed-form start the result is then the data
+    ramp's own, bit for bit.
     """
     op = _operator(prob)
     zero = np.zeros((prob.n, prob.n))
@@ -674,15 +730,18 @@ def _ramp(prob: CEEProblem, opts: SolveOptions):
     def along(family, operator, P, step, min_step):
         return _continuation(family, operator, prob, opts.tol, P, step, min_step)
 
+    P = _central(prob)
+    its = 0
     try:
-        # a step floor of 1: the first failure ends the attempt
-        return along(data, lambda _: op, zero, 1.0, 1.0)
-    except SolverError:
-        pass
-    try:
-        start = CEEProblem(sigma=np.zeros(prob.n), u=prob.u, U=prob.U)
-        P, its, _ = along(_ramp_family(start), lambda _: _shift_operator(prob.n),
-                          zero, 1.0, _RAMP_MIN_STEP)
+        if P is None:
+            try:
+                # a step floor of 1: the first failure ends the attempt
+                return along(data, lambda _: op, zero, 1.0, 1.0)
+            except SolverError:
+                pass
+            start = CEEProblem(sigma=np.zeros(prob.n), u=prob.u, U=prob.U)
+            P, its, _ = along(_ramp_family(start), lambda _: _shift_operator(prob.n),
+                              zero, 1.0, _RAMP_MIN_STEP)
         P, more, filt = along(_sigma_family(prob),
                               lambda trial: op if trial is prob else _operator(trial),
                               P, 1.0, _SIGMA_MIN_STEP)
@@ -721,23 +780,29 @@ def solve_cee(prob: CEEProblem, options: Optional[SolveOptions] = None) -> CEESo
     residual) and :class:`InvalidBranchError` if the converged P has
     h'Ph >= 1.
 
-    Methods "auto" and "newton" run :func:`_ramp`: Newton from P = 0 on
-    the problem itself first.  If that stalls, lands off the PSD branch or
-    ends with a non-Schur a, the numerator path follows: the same (u, U)
-    solved at sigma = z^n along the data ramp of :func:`_ramp_family`, then
-    warm-started solves along sigma(s) of :func:`_sigma_family` to the
-    given sigma.  If that gives up, warm-started solves along the data ramp
-    of the problem itself follow.  Each trial is solved as Newton on the n
-    unknowns of x = Ph; only the trial on the problem itself goes on to
-    full-space Newton through lifted steps, with its residual in extended
-    precision and at least one step, to ``opts.tol``.  ``residual`` reports
-    the double-precision residual of the returned P.  The path reads only
-    (sigma, u, U), whatever the data source.  ``iterations`` counts the
-    steps of the accepted trials only (see :class:`CEESolution`).  Method
-    "fixed-point" runs the plain iteration from P = 0 alone; it has no
-    global convergence guarantee: the solution can be a repelling fixed
-    point of the iteration map, in which case the sweep trips the
-    divergence guard or exhausts its budget and the solve fails.
+    Methods "auto" and "newton" run :func:`_ramp`.  Where the same (u, U)
+    has a closed-form solution at sigma = z^n (:func:`_central`: Levinson's
+    predictor of the lags (I - U)^{-1} u, accepted only if it solves the
+    equation at z^n to rounding), warm-started solves along sigma(s) of
+    :func:`_sigma_family` go from it to the given sigma, the first one at
+    sigma itself.  Otherwise Newton from P = 0 on the problem itself runs
+    first; if that stalls, lands off the PSD branch or ends with a
+    non-Schur a, the numerator path follows: the same (u, U) solved at
+    sigma = z^n along the data ramp of :func:`_ramp_family`, then sigma(s)
+    from there.  If the numerator path gives up, warm-started solves along
+    the data ramp of the problem itself follow.  Each trial is solved as
+    Newton on the n unknowns of x = Ph; only the trial on the problem
+    itself goes on to full-space Newton through lifted steps, with its
+    residual in extended precision and at least one step, to ``opts.tol``.
+    ``residual`` reports the double-precision residual of the returned P.
+    The path reads only (sigma, u, U), whatever the data source: the
+    closed-form start is a numerical test, not a record of where (u, U)
+    came from.  ``iterations`` counts the steps of the accepted trials only
+    (see :class:`CEESolution`).  Method "fixed-point" runs the plain
+    iteration from P = 0 alone; it has no global convergence guarantee: the
+    solution can be a repelling fixed point of the iteration map, in which
+    case the sweep trips the divergence guard or exhausts its budget and
+    the solve fails.
     """
     opts = options or SolveOptions()
     if opts.method == "fixed-point":

@@ -113,9 +113,12 @@ class ObservationRecord:
 
 
 def _strict_lower_toeplitz(u: np.ndarray) -> np.ndarray:
+    """The strictly lower-triangular Toeplitz matrix with first column
+    (0, u_1, ..., u_{n-1}): one fancy index into (0, ..., 0, u_1, ...,
+    u_{n-1})."""
     n = u.size
-    first_col = np.concatenate([[0.0], u[: n - 1]]) if n else np.zeros(0)
-    return scipy.linalg.toeplitz(first_col, np.zeros(n)) if n else np.zeros((0, 0))
+    w = np.concatenate((np.zeros(n), u[: n - 1]))
+    return w[np.subtract.outer(np.arange(n - 1, 2 * n - 1), np.arange(n))]
 
 
 def unit_lower_toeplitz(c_tail: np.ndarray, n: int) -> np.ndarray:

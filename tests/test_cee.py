@@ -25,6 +25,7 @@ from covext.cee import (
 )
 from covext.covdata import CovarianceSequence, build_cov_params
 from covext.errors import DataError, InvalidBranchError, SolverError
+from covext.nevpick import InterpolationData, build_T, build_uU_np
 from covext.polyalg import (
     RationalPR,
     SchurPolynomial,
@@ -322,12 +323,36 @@ def sigma_path_gives_up(monkeypatch):
     monkeypatch.setattr(cee, "_sigma_family", family)
 
 
-def data_ramp_alone(prob, tol=SolveOptions().tol):
+def data_ramp_alone(prob, tol=SolveOptions().tol, step=1.0):
     """(P, Newton steps) of the data ramp of ``prob`` from t = 0 with first
-    step 1: the trial sequence of the solver without the numerator path."""
+    step ``step``; with step 1, the trial sequence of the solver without the
+    numerator path."""
     op = cee._operator(prob)
     return cee._continuation(cee._ramp_family(prob), lambda _: op, prob, tol,
-                             np.zeros((prob.n, prob.n)), 1.0, cee._RAMP_MIN_STEP)[:2]
+                             np.zeros((prob.n, prob.n)), step, cee._RAMP_MIN_STEP)[:2]
+
+
+def interpolation_slice(seed=20261021, per_degree=5):
+    """Interpolation-sourced problems: the values of a random positive-real
+    b/(2a) at n + 1 nodes outside the unit disc, closed under conjugation,
+    at its generating sigma, n = 1..4, reflection coefficients in
+    (-0.9, 0.9).  All 20 solve, six of them (#6, #7, #12 and #15-#17) after
+    a failed first trial, and none has a closed-form start (cee._central)."""
+    rng = np.random.default_rng(seed)
+    problems = []
+    for n in range(1, 5):
+        for _ in range(per_degree):
+            a, sigma, _, b, _ = forward_instance(rng, n)
+            nodes = []
+            while len(nodes) < n + 1 - (n + 1) % 2:
+                z = rng.uniform(1.4, 3.0) * np.exp(1j * rng.uniform(0.2, np.pi - 0.2))
+                nodes.extend([z, np.conj(z)])
+            if len(nodes) < n + 1:
+                nodes.append(rng.uniform(1.4, 4.0))
+            nodes = np.array(nodes, dtype=complex)
+            params = build_uU_np(build_T(InterpolationData(nodes, RationalPR(a, b)(nodes))))
+            problems.append(CEEProblem(sigma=sigma.coeffs, u=params.u, U=params.U))
+    return problems
 
 
 class TestContinuation:
@@ -427,17 +452,22 @@ class TestContinuation:
                         accepted += 1
             return len(legs), accepted
 
+        # the corpus starts from the closed-form solution at sigma = z^n;
+        # interpolation problems that fail their first trial run the data
+        # ramp at z^n before the numerator path
         intermediate = 0
         first_trial_fails = None
-        for prob in corpus_slice():
+        for prob in corpus_slice() + interpolation_slice():
             leg_count, accepted = check(prob)
             intermediate += accepted
             if leg_count > 1 and first_trial_fails is None:
                 first_trial_fails = prob
-        assert intermediate > 0
+        assert intermediate > 0 and first_trial_fails is not None
         # with the numerator path forced to give up, the data-ramp fallback
-        # runs its intermediate trials on the problem's own data ramp
+        # runs its intermediate trials on the problem's own data ramp, after
+        # a central start as after a failed first trial
         sigma_path_gives_up(monkeypatch)
+        assert check(corpus_slice()[0])[1] > 0
         assert check(first_trial_fails)[1] > 0
 
     def test_polish_is_refinement_on_an_extended_precision_residual(self, monkeypatch):
@@ -692,31 +722,43 @@ class TestFallback:
     which a second, full-space ramp used to rerun."""
 
     def test_non_schur_landing_at_t1_is_a_failed_trial(self, monkeypatch):
-        # the problem solves at its first trial, t = 1; forcing the Schur
-        # test to fail there makes it a failed trial, and the numerator path
-        # takes over: the data ramp at sigma = z^n, which has no Schur test,
-        # then sigma(s) from there, whose trial at s = 1 is on the problem
-        prob = corpus_slice()[15]
-        assert prob.n == 7
-        trials = path_trials(monkeypatch)
-        solve_outcome(prob)
-        assert labelled(trials, prob) == [("t", 1.0)]
-        schur_calls = []
-
-        def is_schur(a):
-            schur_calls.append(a)
-            return len(schur_calls) > 1 and cee_is_schur(a)
-
+        # each problem solves at its first trial, the one on the problem
+        # itself; forcing the Schur test to fail there makes it a failed
+        # trial, and the path goes on.  The corpus problem starts from the
+        # closed-form solution at sigma = z^n, so its first trial is s = 1 of
+        # the numerator path, which halves its step: s = 1/2, whose sigma is
+        # checked as its problem is built, then s = 1.  The interpolation
+        # problem has no closed-form start: its first trial is t = 1 of the
+        # data ramp, and the numerator path takes over: the data ramp at
+        # sigma = z^n, which has no Schur test, then sigma(s) from there,
+        # whose trial at s = 1 is on the problem
+        cases = [(corpus_slice()[15], 7, [("s", 1.0)],
+                  [("s", 1.0), ("s", 0.5), ("s", 1.0)]),
+                 (interpolation_slice()[10], 3, [("t", 1.0)],
+                  [("t", 1.0), ("t0", 1.0), ("s", 1.0)])]
         cee_is_schur = cee.is_schur
-        monkeypatch.setattr(cee, "is_schur", is_schur)
-        trials.clear()
-        sol = solve_cee(prob)
-        assert labelled(trials, prob) == [("t", 1.0), ("t0", 1.0), ("s", 1.0)]
-        # the forced test, the check of sigma = z^n as its problem is built
-        # and the test at s = 1, whose a solve_cee reports without testing
-        # it again
-        assert sol.a_is_schur and len(schur_calls) == 3
-        assert schur_calls[-1] is sol.a
+        for prob, n, solved, forced in cases:
+            assert prob.n == n
+            trials = path_trials(monkeypatch)
+            solve_outcome(prob)
+            assert labelled(trials, prob) == solved
+            schur_calls = []
+
+            def is_schur(a):
+                schur_calls.append(a)
+                return len(schur_calls) > 1 and cee_is_schur(a)
+
+            monkeypatch.setattr(cee, "is_schur", is_schur)
+            trials.clear()
+            sol = solve_cee(prob)
+            assert labelled(trials, prob) == forced
+            # the forced test, the check of the second trial's sigma
+            # (sigma(1/2), or sigma = z^n) as its problem is built and the
+            # test at s = 1, whose a solve_cee reports without testing it
+            # again
+            assert sol.a_is_schur and len(schur_calls) == 3
+            assert schur_calls[-1] is sol.a
+            monkeypatch.undo()
 
     def test_fragile_request_recovers_a(self):
         # perfbench corpus seed 2002 request 615 (n = 8): a t = 1 landing
@@ -729,17 +771,27 @@ class TestFallback:
 
 
 class TestNumeratorPath:
-    """After a failed first trial the solve runs the data ramp at
-    sigma = z^n and then the path sigma(s) to the problem; the data ramp
-    of the problem itself is the fallback."""
+    """The solve runs the path sigma(s) to the problem from the closed-form
+    solution at sigma = z^n (cee._central) or, without one, after a failed
+    first trial, from the data ramp at sigma = z^n; the data ramp of the
+    problem itself is the fallback."""
 
     def test_lands_on_the_data_ramps_solution(self, monkeypatch):
         # the PSD h'Ph < 1 solution is unique, so the numerator path and the
-        # data ramp reach the same P on the first 20 benchmark-pool
-        # requests whose first trial fails
+        # data ramp reach the same P: on the first 20 benchmark-pool
+        # requests, which start from the closed form and run the numerator
+        # path alone, and on the interpolation problems whose first trial
+        # fails
         trials = path_trials(monkeypatch)
+        for _, prob in itertools.islice(perfbench_pool(7), 20):
+            trials.clear()
+            sol = solve_cee(prob)
+            path = labelled(trials, prob)
+            assert {kind for kind, _ in path} == {"s"} and path[-1] == ("s", 1.0)
+            P, _ = data_ramp_alone(prob)
+            assert np.max(np.abs(sol.P - P)) <= 1e-8
         compared = 0
-        for _, prob in perfbench_pool(7):
+        for prob in interpolation_slice():
             trials.clear()
             sol = solve_cee(prob)
             path = labelled(trials, prob)
@@ -749,19 +801,18 @@ class TestNumeratorPath:
             P, _ = data_ramp_alone(prob)
             assert np.max(np.abs(sol.P - P)) <= 1e-8
             compared += 1
-            if compared == 20:
-                break
+        assert compared >= 5
 
     def test_first_trial_success_builds_no_sigma_problem(self, monkeypatch):
-        # a solve that succeeds at its first trial is the data ramp's first
-        # trial, bit for bit
+        # without a closed-form start, a solve that succeeds at its first
+        # trial is the data ramp's first trial, bit for bit
         built = []
         sigma_family = cee._sigma_family
         monkeypatch.setattr(cee, "_sigma_family",
                             lambda prob: built.append(prob) or sigma_family(prob))
         trials = path_trials(monkeypatch)
         solved = 0
-        for prob in corpus_slice():
+        for prob in interpolation_slice():
             trials.clear()
             built.clear()
             P, steps, _ = cee._ramp(prob, SolveOptions())
@@ -775,22 +826,32 @@ class TestNumeratorPath:
 
     def test_forced_give_up_is_the_data_ramp(self, monkeypatch):
         # when the numerator path gives up, the data ramp goes on from t = 0
-        # with step 1/2, which is the rest of its own trial sequence: the
-        # result is bit-identical to the data ramp alone
+        # with step 1/2.  After a failed first trial that is the rest of the
+        # data ramp's own trial sequence, so the result is bit-identical to
+        # the data ramp alone; after a central start, which runs no first
+        # trial, it is the data ramp from step 1/2, bit for bit
         sigma_path_gives_up(monkeypatch)
         trials = path_trials(monkeypatch)
         fell_back = 0
-        for prob in corpus_slice() + [perfbench_request(44, 111)[1]]:
+        for prob in interpolation_slice():
             trials.clear()
             P, steps, _ = cee._ramp(prob, SolveOptions())
             fell_back += labelled(trials, prob)[-1] == ("t", 1.0) and len(trials) > 1
             P_data, steps_data = data_ramp_alone(prob)
             assert P.tobytes() == P_data.tobytes() and steps == steps_data
         assert fell_back >= 5
+        for prob in corpus_slice() + [perfbench_request(44, 111)[1]]:
+            trials.clear()
+            P, steps, _ = cee._ramp(prob, SolveOptions())
+            ramp = [t for kind, t in labelled(trials, prob) if kind == "t"]
+            assert ramp[0] == 0.5 and ramp[-1] == 1.0
+            P_data, steps_data = data_ramp_alone(prob, step=0.5)
+            assert P.tobytes() == P_data.tobytes() and steps == steps_data
 
     def test_unbuildable_sigma_is_a_failed_trial(self, monkeypatch):
-        # benchmark-pool seed 7 request 6 fails its first trial and its
-        # numerator path's trial at s = 1, then solves at s = 1/2 and 1; a
+        # benchmark-pool seed 7 request 6 starts from the closed form at
+        # sigma = z^n; its numerator path fails the trial at s = 1, then
+        # solves at s = 1/2 and 1; a
         # sigma(1/2) that rounds onto the unit circle, so that building its
         # problem raises DataError, fails that trial and the path halves its
         # step instead
@@ -816,6 +877,74 @@ class TestNumeratorPath:
         assert failed and sigma_trials[:3] == [1.0, 0.5, 0.25]
         assert sol.a_is_schur
         assert np.max(np.abs(sol.P - data_ramp_alone(prob)[0])) <= 1e-8
+
+
+def zn_data_ramp(prob):
+    """P of the data ramp of ``prob``'s (u, U) at sigma = z^n, polished on
+    that problem: the numerator path's start without a closed form."""
+    start = CEEProblem(sigma=np.zeros(prob.n), u=prob.u, U=prob.U)
+    return cee._continuation(cee._ramp_family(start),
+                             lambda _: cee._shift_operator(prob.n), start,
+                             SolveOptions().tol, np.zeros((prob.n, prob.n)),
+                             1.0, cee._RAMP_MIN_STEP)[0]
+
+
+class TestCentral:
+    """The closed-form solution at sigma = z^n (cee._central): Levinson's
+    predictor of the lags (I - U)^{-1} u, accepted only where it solves the
+    equation at z^n to rounding."""
+
+    def test_is_the_data_ramps_solution_at_zn(self):
+        # the PSD h'Ph < 1 solution at z^n is unique: the closed form and the
+        # data ramp at z^n agree on 21 benchmark-pool requests (n = 2..8) and
+        # on an n = 20 instance with reflection coefficients in (-0.95, 0.95)
+        # (Toeplitz lambda_min 8.4e-6)
+        problems = [prob for _, prob in itertools.islice(perfbench_pool(11), 21)]
+        _, sigma, _, _, c = forward_instance(np.random.default_rng(0), 20, 0.95)
+        problems.append(problem_from_covariances(c, sigma))
+        for prob in problems:
+            P = cee._central(prob)
+            assert P is not None
+            P_ramp = zn_data_ramp(prob)
+            assert np.linalg.norm(P - P_ramp) <= 1e-10 * np.linalg.norm(P_ramp)
+
+    def test_no_closed_form_runs_the_first_trial(self, monkeypatch):
+        # Levinson's predictor of interpolation parameters' pseudo-lags does
+        # not solve the equation at z^n, and lags with an indefinite
+        # Toeplitz matrix have a reflection coefficient outside (-1, 1):
+        # those solves start with the first trial, t = 1 of the data ramp,
+        # and go on, if it fails, with the data ramp at z^n
+        indefinite = CovarianceSequence([1.0, 0.99, 0.999, 0.9])
+        assert np.linalg.eigvalsh(indefinite.toeplitz())[0] < 0.0
+        problems = interpolation_slice() + [
+            problem_from_covariances(indefinite, SchurPolynomial(np.zeros(3)))]
+        trials = path_trials(monkeypatch)
+        for prob in problems:
+            assert cee._central(prob) is None
+            trials.clear()
+            solve_outcome(prob)
+            path = labelled(trials, prob)
+            assert path[0] == ("t", 1.0)
+            assert len(path) == 1 or path[1] == ("t0", 1.0)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(1, 30), st.integers(0, 2**32 - 1))
+    @example(1, 0)
+    @example(30, 0)
+    def test_levinson_round_trip(self, n, seed):
+        # the lags of a Levinson-generated a, solved at sigma = z^n, give back
+        # that a and rho^2, to the Toeplitz matrix's condition number times
+        # rounding
+        k = np.random.default_rng(seed).uniform(-0.9, 0.9, n)
+        c, a, rho2 = levinson_sequence(k)
+        prob = problem_from_covariances(c, SchurPolynomial(np.zeros(n)))
+        P = cee._central(prob)
+        assert P is not None
+        a_P, rho = extract_filter(prob, P)
+        bound = (4 * n * np.finfo(float).eps * np.linalg.cond(c.toeplitz())
+                 * (1.0 + np.max(np.abs(a))))
+        assert np.max(np.abs(a_P - a)) <= bound
+        assert abs(rho * rho - rho2) <= bound
 
 
 class TestEnvelope:
@@ -1030,19 +1159,27 @@ class TestPositiveDegree:
             assert res.degree >= algebraic_degree(c)
 
 
-def random_positive_sequence(rng, n):
-    """A normalized positive covariance sequence: reflection coefficients
-    in (-1, 1) through the Levinson recursion."""
-    k = rng.uniform(-0.95, 0.95, n)
+def levinson_sequence(k):
+    """(c, a, rho^2): the normalized covariance sequence of the reflection
+    coefficients ``k`` in (-1, 1) through the Levinson recursion, with its
+    predictor coefficients a, a(z) = z^n + a_1 z^{n-1} + ... + a_n, and
+    prediction-error variance rho^2."""
+    n = len(k)
     c = np.zeros(n + 1)
     c[0] = 1.0
-    a = np.zeros(0)  # predictor coefficients, a(z) = 1 + a_1 z^-1 + ...
+    a = np.zeros(0)
     err = 1.0
     for m in range(n):
         c[m + 1] = -k[m] * err - np.dot(a, c[m:0:-1])
         a = np.concatenate([a + k[m] * a[::-1], [k[m]]])
         err *= 1.0 - k[m] ** 2
-    return CovarianceSequence(c)
+    return CovarianceSequence(c), a, err
+
+
+def random_positive_sequence(rng, n):
+    """A normalized positive covariance sequence: reflection coefficients
+    in (-0.95, 0.95) through the Levinson recursion."""
+    return levinson_sequence(rng.uniform(-0.95, 0.95, n))[0]
 
 
 class TestRampFamily:
@@ -1102,6 +1239,7 @@ class TestUniversality:
             cee.solve_cee,
             cee._fixed_point,
             cee._ramp,
+            cee._central,
             cee._continuation,
             cee._sigma_family,
             cee._operator,

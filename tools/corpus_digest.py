@@ -60,14 +60,16 @@ failed trials on the problem itself (t = 1 of its data ramp, s = 1 of the
 numerator path) are also counted on their own, and so are the trials whose
 first-column Newton (``cee._reduced_newton``) failed at its damping floor,
 where no damped step down to ``cee._DAMPING_FLOOR`` lowered the residual.
-Last, how many numerator paths started (one data ramp at sigma = z^n
-each), how many of the trials were sigma trials and how many of those
-failed, how many sigma paths gave up at their step floor, and how many
-solves fell back to the data ramp (after a give-up or a stalled ramp at
-z^n).  The counts come from wrapping those module functions and
-``cee._ramp_family`` and ``cee._sigma_family`` here; the wrappers change
-no result: the P bytes of every corpus solve are the same with and
-without them.
+Last, how many solves started the numerator path at the closed-form
+solution at sigma = z^n (``cee._central``, which runs no ramp and no
+trial), how many numerator paths started from a data ramp at sigma = z^n
+instead (the "σ paths"), how many of the trials were sigma trials and how
+many of those failed, how many sigma paths gave up at their step floor,
+and how many solves fell back to the data ramp (after a give-up or a
+stalled ramp at z^n).  The counts come from wrapping those module
+functions and ``cee._ramp_family`` and ``cee._sigma_family`` here; the
+wrappers change no result: the P bytes of every corpus solve are the
+same with and without them.
 
 The cli section also prints a validation line: how many documents
 (problems and solutions, read or written) were validated, how many the
@@ -178,12 +180,13 @@ def counted_work(section: str):
               "lifted steps of failed trials at t=1": 0,
               "n×n steps of failed trials": 0,
               "trials at the damping floor": 0,
+              "central starts": 0,
               "σ paths": 0, "σ trials": 0, "failed σ trials": 0,
               "σ give-ups": 0, "fallbacks": 0}
     originals = {name: getattr(cee, name) for name in
                  ("_residual_matrix", "_lifted_step", "_reduced_step",
                   "_first_column_operator", "_continuation", "_ramp_family",
-                  "_sigma_family", "_reduced_newton")}
+                  "_sigma_family", "_reduced_newton", "_central")}
 
     def counter(name, key):
         def counted(*args):
@@ -249,6 +252,11 @@ def counted_work(section: str):
         finally:
             tally(trials, stalled, family.sigma)
 
+    def central(prob):
+        P = originals["_central"](prob)
+        counts["central starts"] += P is not None
+        return P
+
     def reduced_newton(*args):
         try:
             return originals["_reduced_newton"](*args)
@@ -264,6 +272,7 @@ def counted_work(section: str):
     cee._sigma_family = tagged("_sigma_family")
     cee._continuation = continuation
     cee._reduced_newton = reduced_newton
+    cee._central = central
     try:
         yield counts
     finally:
