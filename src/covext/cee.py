@@ -129,9 +129,10 @@ class CEESolution:
     For "newton" it counts the n x n first-column Newton steps of the
     accepted trials of the continuation that delivered P, and the lifted
     full-space Newton steps (at least one) that polished its last trial,
-    the one on the problem itself: the first trial, the numerator path
-    (its data ramp at sigma = z^n included; a closed-form start there
-    counts 0 steps) or the data-ramp fallback.  Failed trials, and a
+    the one on the problem itself: the first trial (from P = 0, or the
+    Levinson start from the closed-form solution at sigma = z^n, which
+    itself counts 0 steps), the numerator path (its data ramp at sigma =
+    z^n included) or the data-ramp fallback.  Failed trials, and a
     numerator path that gave up, are not counted.
     """
 
@@ -150,13 +151,15 @@ class CEESolution:
 class SolveOptions:
     """Solver controls.
 
-    method "auto" (the default) and "newton" name the same path:
-    continuation to the problem in the numerator sigma from sigma = z^n,
-    started at the closed-form solution there when it exists, else after
-    Newton from P = 0 on the problem itself has failed; last, the
-    continuation in the data parameters.  A continuation halves its step
-    while a trial stalls, lands off the PSD h'Ph < 1 branch or, on the
-    problem itself, ends with a non-Schur a (see :func:`solve_cee`).
+    method "auto" (the default) and "newton" name the same path.  Where
+    the closed-form solution at sigma = z^n exists, Newton on the problem
+    itself starts from it with h'Ph set to 1, where the extracted a is
+    Levinson's predictor whatever sigma is (the Levinson start); else
+    Newton from P = 0 on the problem itself.  If that first trial fails,
+    the continuation in the numerator sigma from sigma = z^n follows, and
+    last the continuation in the data parameters.  A continuation halves
+    its step while a trial stalls, lands off the PSD h'Ph < 1 branch or, on
+    the problem itself, ends with a non-Schur a (see :func:`solve_cee`).
     "fixed-point" runs the paper's plain iteration from P = 0 alone, with a budget of
     ``max_iter`` steps; ``divergence_guard`` aborts that sweep once
     h'Ph >= 1 after the first ``_GRACE`` steps, appropriate when the data
@@ -286,11 +289,15 @@ def _ramp_family(prob: CEEProblem):
     same for interpolation parameters.
     """
     n = prob.n
-    uU = np.column_stack([prob.u, prob.U])
+    # built on the first trial short of t = 1: most solves never run one
+    uU = None
 
     def family(t: float) -> CEEProblem:
+        nonlocal uU
         if t == 1.0:
             return prob
+        if uU is None:
+            uU = np.column_stack([prob.u, prob.U])
         S = t * np.linalg.solve(np.eye(n) - (1.0 - t) * prob.U, uU)
         # sigma, and with it Gamma, is the same all along the ramp
         return prob._with_parameters(S[:, 0], S[:, 1:])
@@ -547,11 +554,15 @@ def _sigma_family(prob: CEEProblem):
     & Lindquist, 1998); building a sigma(s) raises :class:`DataError` if
     rounding puts it on the unit circle.
     """
-    gammas = tail_to_reflection(prob.sigma)
+    # found on the first trial short of s = 1: most solves never run one
+    gammas = None
 
     def family(s: float) -> CEEProblem:
+        nonlocal gammas
         if s == 1.0:
             return prob
+        if gammas is None:
+            gammas = tail_to_reflection(prob.sigma)
         return CEEProblem(sigma=reflection_to_tail(s * gammas), u=prob.u, U=prob.U)
 
     return family
@@ -614,9 +625,17 @@ def _central(prob: CEEProblem) -> Optional[np.ndarray]:
     y[n - 1] = 0.0
     x = np.concatenate(([x1], y[:n - 1]))
     g = prob.u + prob.U @ y
+    xnorm = math.sqrt(float(x @ x))
+    # at z^n, where Gamma is the shift, (P h)_1 = trace Q = |g|^2 - |y|^2
+    # and ||P||_F <= n (|g|^2 + |y|^2): an O(n) test of (x - Ph)_1, with
+    # eight times the margin the final test allows it, rejects before the
+    # Stein solve
+    gg, yy = float(g @ g), float(y @ y)
+    if not abs(x1 - (gg - yy)) <= 1024 * n * _EPS * (xnorm + n * (gg + yy)):
+        return None
     P = _stein_solve(_shift_operator(n)[0], g[:, None] * g - y[:, None] * y)
     e = x - P[:, 0]
-    scale = math.sqrt(float(x @ x)) + math.sqrt(float(np.vdot(P, P)))
+    scale = xnorm + math.sqrt(float(np.vdot(P, P)))
     if not (math.sqrt(float(e @ e)) <= 128 * n * _EPS * scale and _on_valid_branch(P)):
         return None
     return P
@@ -628,7 +647,9 @@ def _continuation(family, operator, target: CEEProblem, tol: float,
     solution ``P`` of ``family(0)`` with first step ``step``; returns P at
     s = 1, the Newton steps of the accepted trials and, when the path ends
     on ``target``, the (a, rho) of :func:`extract_filter` there (else
-    None).
+    None).  With ``step`` and ``min_step`` 1 the leg is one trial at s = 1
+    whose first column of ``P`` is Newton's start, a point of the path or
+    not (the Levinson start of :func:`_ramp`).
 
     Each trial reuses the previous solution as Newton's start, through a
     secant predictor once there are two, with the step in s halved whenever
@@ -709,46 +730,59 @@ def _ramp(prob: CEEProblem, opts: SolveOptions):
     trials of the continuation that delivered it (:func:`_continuation`)
     and the (a, rho) extracted from P, whose a passed the Schur test.
 
-    When :func:`_central` gives the solution at sigma = z^n in closed form,
-    the path :func:`_sigma_family` starts from it with step 1: its first
-    trial is s = 1, the problem itself.  Otherwise the first trial is the
-    whole data ramp of :func:`_ramp_family` at once, t = 1: Newton from
+    When :func:`_central` gives the solution P0 at sigma = z^n in closed
+    form, the first trial is the Levinson start: one trial on the problem
+    itself from x = P0 h with x_1 set to 1.  With Gamma the companion of
+    sigma and J the up-shift, Gamma x + sigma = J x + (1 - x_1) sigma, so at
+    x_1 = 1 the extracted a = (I - U) J x - u is Levinson's predictor of the
+    lags, whatever sigma is.  When that trial fails, the path
+    :func:`_sigma_family` runs from P0 with step 1/2: the trials it ran
+    after a failed first trial from P0 itself.  Otherwise the first trial is
+    the whole data ramp of :func:`_ramp_family` at once, t = 1: Newton from
     P = 0 on the problem itself.  When it fails, the numerator path runs:
     the data ramp of the same (u, U) at sigma = z^n, where Gamma is
     nilpotent and the ramp is short, then the path :func:`_sigma_family`
-    from there to ``prob``, with the first-column operator rebuilt for each
-    trial.  If either gives up (the ramp at z^n stalls, or the path's step
-    falls below ``_SIGMA_MIN_STEP``), the data ramp of ``prob`` goes on from
-    t = 0 with step 1/2: the trials the data ramp alone runs after a failed
-    first one, so without a closed-form start the result is then the data
-    ramp's own, bit for bit.
+    from there to ``prob``.  The numerator path rebuilds the first-column
+    operator for each trial short of s = 1.  If it gives up (the ramp at z^n
+    stalls, or the path's step falls below ``_SIGMA_MIN_STEP``), the data
+    ramp of ``prob`` goes on from t = 0 with step 1/2: the trials the data
+    ramp alone runs after a failed first one, so without a closed-form start
+    the result is then the data ramp's own, bit for bit.
     """
     op = _operator(prob)
     zero = np.zeros((prob.n, prob.n))
-    data = _ramp_family(prob)
 
     def along(family, operator, P, step, min_step):
         return _continuation(family, operator, prob, opts.tol, P, step, min_step)
 
     P = _central(prob)
     its = 0
+    # a step floor of 1 makes a leg of one trial: its failure ends the leg
     try:
         if P is None:
             try:
-                # a step floor of 1: the first failure ends the attempt
-                return along(data, lambda _: op, zero, 1.0, 1.0)
+                return along(_ramp_family(prob), lambda _: op, zero, 1.0, 1.0)
             except SolverError:
                 pass
             start = CEEProblem(sigma=np.zeros(prob.n), u=prob.u, U=prob.U)
             P, its, _ = along(_ramp_family(start), lambda _: _shift_operator(prob.n),
                               zero, 1.0, _RAMP_MIN_STEP)
+            step = 1.0
+        else:
+            levinson = P.copy()
+            levinson[0, 0] = 1.0
+            try:
+                return along(_sigma_family(prob), lambda _: op, levinson, 1.0, 1.0)
+            except SolverError:
+                pass
+            step = 0.5
         P, more, filt = along(_sigma_family(prob),
                               lambda trial: op if trial is prob else _operator(trial),
-                              P, 1.0, _SIGMA_MIN_STEP)
+                              P, step, _SIGMA_MIN_STEP)
         return P, its + more, filt
     except SolverError:
         pass
-    return along(data, lambda _: op, zero, 0.5, _RAMP_MIN_STEP)
+    return along(_ramp_family(prob), lambda _: op, zero, 0.5, _RAMP_MIN_STEP)
 
 
 def _fixed_point(
@@ -781,19 +815,22 @@ def solve_cee(prob: CEEProblem, options: Optional[SolveOptions] = None) -> CEESo
     h'Ph >= 1.
 
     Methods "auto" and "newton" run :func:`_ramp`.  Where the same (u, U)
-    has a closed-form solution at sigma = z^n (:func:`_central`: Levinson's
-    predictor of the lags (I - U)^{-1} u, accepted only if it solves the
-    equation at z^n to rounding), warm-started solves along sigma(s) of
-    :func:`_sigma_family` go from it to the given sigma, the first one at
-    sigma itself.  Otherwise Newton from P = 0 on the problem itself runs
-    first; if that stalls, lands off the PSD branch or ends with a
-    non-Schur a, the numerator path follows: the same (u, U) solved at
-    sigma = z^n along the data ramp of :func:`_ramp_family`, then sigma(s)
-    from there.  If the numerator path gives up, warm-started solves along
-    the data ramp of the problem itself follow.  Each trial is solved as
-    Newton on the n unknowns of x = Ph; only the trial on the problem
-    itself goes on to full-space Newton through lifted steps, with its
-    residual in extended precision and at least one step, to ``opts.tol``.
+    has a closed-form solution P0 at sigma = z^n (:func:`_central`:
+    Levinson's predictor of the lags (I - U)^{-1} u, accepted only if it
+    solves the equation at z^n to rounding), the first trial is Newton on
+    the problem itself from P0 h with h'Ph set to 1, where the extracted a
+    is that predictor for every sigma; if it fails, warm-started solves
+    along sigma(s) of :func:`_sigma_family` go from P0 to the given sigma,
+    the first at s = 1/2.  Otherwise Newton from P = 0 on the problem
+    itself runs first; if that stalls, lands off the PSD branch or ends
+    with a non-Schur a, the numerator path follows: the same (u, U) solved
+    at sigma = z^n along the data ramp of :func:`_ramp_family`, then
+    sigma(s) from there.  If the numerator path gives up, warm-started
+    solves along the data ramp of the problem itself follow.  Each trial is
+    solved as Newton on the n unknowns of x = Ph; only the trial on the
+    problem itself goes on to full-space Newton through lifted steps, with
+    its residual in extended precision and at least one step, to
+    ``opts.tol``.
     ``residual`` reports the double-precision residual of the returned P.
     The path reads only (sigma, u, U), whatever the data source: the
     closed-form start is a numerical test, not a record of where (u, U)

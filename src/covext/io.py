@@ -250,8 +250,8 @@ def dump_problem(doc: dict, path) -> None:
 def _write_json(doc: dict, path) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        # one write: json.dump writes once per encoder chunk
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def covariance_problem_doc(c_raw, sigma_tail, diagnostics=None, options=None) -> dict:

@@ -323,6 +323,31 @@ def sigma_path_gives_up(monkeypatch):
     monkeypatch.setattr(cee, "_sigma_family", family)
 
 
+def levinson_start_fails(monkeypatch):
+    """Make the Levinson start fail: the first-column Newton from a start
+    with x_1 = h'Ph = 1, a point off the branch that no other trial starts
+    from, raises as a stalled trial does."""
+    reduced_newton = cee._reduced_newton
+
+    def spied(prob, x, form):
+        if x[0] == 1.0:
+            raise SolverError("forced failure of the Levinson start")
+        return reduced_newton(prob, x, form)
+
+    monkeypatch.setattr(cee, "_reduced_newton", spied)
+
+
+def sigma_path(prob, P, step):
+    """(P, Newton steps) of the numerator path of ``prob`` from P with first
+    step ``step``, the first-column operator rebuilt for each trial short of
+    s = 1."""
+    op = cee._operator(prob)
+    return cee._continuation(cee._sigma_family(prob),
+                             lambda trial: op if trial is prob else cee._operator(trial),
+                             prob, SolveOptions().tol, P, step,
+                             cee._SIGMA_MIN_STEP)[:2]
+
+
 def data_ramp_alone(prob, tol=SolveOptions().tol, step=1.0):
     """(P, Newton steps) of the data ramp of ``prob`` from t = 0 with first
     step ``step``; with step 1, the trial sequence of the solver without the
@@ -761,9 +786,10 @@ class TestFallback:
             monkeypatch.undo()
 
     def test_fragile_request_recovers_a(self):
-        # perfbench corpus seed 2002 request 615 (n = 8): a t = 1 landing
-        # on an exact solution with a non-Schur a fails the trial, and the
-        # ramp goes on to recover a
+        # perfbench corpus seed 2002 request 615 (n = 8): sigma and a have
+        # roots within 1e-4 of the unit circle, and a t = 1 trial of the data
+        # ramp lands on an exact solution with a non-Schur a; the solve,
+        # which now ends at its Levinson start, must still recover a
         a, prob = perfbench_request(2002, 615)
         sol = solve_cee(prob, SolveOptions(max_iter=20_000))
         assert prob.n == 8 and sol.a_is_schur
@@ -848,14 +874,55 @@ class TestNumeratorPath:
             P_data, steps_data = data_ramp_alone(prob, step=0.5)
             assert P.tobytes() == P_data.tobytes() and steps == steps_data
 
+    def test_corpus_solves_at_its_levinson_start(self, monkeypatch):
+        # every corpus_slice problem has a closed-form start and solves at
+        # its first trial, the Levinson start on the problem itself, with the
+        # branch test, the polish and the Schur test passed
+        trials = path_trials(monkeypatch)
+        for prob in corpus_slice():
+            trials.clear()
+            sol = solve_cee(prob)
+            assert labelled(trials, prob) == [("s", 1.0)]
+            assert sol.a_is_schur and cee._on_valid_branch(sol.P)
+
+    def test_failed_levinson_start_runs_the_path_from_the_closed_form(self, monkeypatch):
+        # when the Levinson start fails, the numerator path runs from the
+        # closed-form solution P0 with step 1/2: the trials that followed a
+        # failed first trial from P0 itself.  Benchmark-pool seed 7 request
+        # 6 (n = 8) is such a case: its numerator path from P0 with step 1
+        # fails the trial at s = 1, then solves at s = 1/2 and 1, and the
+        # forced failure gives that path's P bit for bit; so do the corpus
+        # problems, against the path from P0 with step 1/2 or, where that
+        # path gives up, the data-ramp fallback
+        _, request = perfbench_request(7, 6)
+        P_request = sigma_path(request, cee._central(request), 1.0)
+        levinson_start_fails(monkeypatch)
+        trials = path_trials(monkeypatch)
+        fell_back = 0
+        for prob in [request] + corpus_slice():
+            trials.clear()
+            P, steps, _ = cee._ramp(prob, SolveOptions())
+            assert labelled(trials, prob)[:2] == [("s", 1.0), ("s", 0.5)]
+            if prob is request:
+                P_ref, steps_ref = P_request
+            else:
+                try:
+                    P_ref, steps_ref = sigma_path(prob, cee._central(prob), 0.5)
+                except SolverError:
+                    P_ref, steps_ref = data_ramp_alone(prob, step=0.5)
+                    fell_back += 1
+            assert P.tobytes() == P_ref.tobytes() and steps == steps_ref
+        # one corpus problem's path from P0 with step 1/2 gives up
+        assert fell_back == 1
+
     def test_unbuildable_sigma_is_a_failed_trial(self, monkeypatch):
         # benchmark-pool seed 7 request 6 starts from the closed form at
-        # sigma = z^n; its numerator path fails the trial at s = 1, then
-        # solves at s = 1/2 and 1; a
-        # sigma(1/2) that rounds onto the unit circle, so that building its
-        # problem raises DataError, fails that trial and the path halves its
-        # step instead
+        # sigma = z^n; with its Levinson start forced to fail, the numerator
+        # path from there solves at s = 1/2 and 1; a sigma(1/2) that rounds
+        # onto the unit circle, so that building its problem raises
+        # DataError, fails that trial and the path halves its step instead
         _, prob = perfbench_request(7, 6)
+        levinson_start_fails(monkeypatch)
         trials = path_trials(monkeypatch)
         solve_cee(prob)
         sigma_trials = [s for path, s in labelled(trials, prob) if path == "s"]
@@ -926,6 +993,40 @@ class TestCentral:
             path = labelled(trials, prob)
             assert path[0] == ("t", 1.0)
             assert len(path) == 1 or path[1] == ("t0", 1.0)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.sampled_from(["random", "sigma_n = 0", "z^n"]),
+           st.integers(0, 2**32 - 1))
+    def test_levinson_start_extracts_levinsons_a(self, n, kind, seed):
+        # Gamma x + sigma = J x + (1 - x_1) sigma with J the up-shift, so the
+        # Levinson start, P0 h of the closed form with x_1 set to 1, extracts
+        # a = (I - U)(Gamma x + sigma) - u equal to the a of P0 at sigma =
+        # z^n, Levinson's predictor of the lags, whatever sigma is; that a
+        # is the generating one to the Toeplitz matrix's condition number
+        # times rounding
+        rng = np.random.default_rng(seed)
+        k = rng.uniform(-0.95, 0.95, n)
+        c, a_gen, _ = levinson_sequence(k)
+        gammas = {"random": rng.uniform(-0.95, 0.95, n),
+                  "sigma_n = 0": np.append(rng.uniform(-0.95, 0.95, n - 1), 0.0),
+                  "z^n": np.zeros(n)}[kind]
+        prob = problem_from_covariances(c, SchurPolynomial(reflection_to_tail(gammas)))
+        starts = []
+        reduced_newton = cee._reduced_newton
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(cee, "_reduced_newton",
+                      lambda p, x, form: starts.append(x.copy())
+                      or reduced_newton(p, x, form))
+            solve_outcome(prob)
+        P0 = cee._central(prob)
+        x = starts[0]
+        assert x[0] == 1.0 and np.array_equal(x[1:], P0[1:, 0])
+        a = (np.eye(n) - prob.U) @ (prob.Gamma @ x + prob.sigma) - prob.u
+        a_zn, _ = extract_filter(CEEProblem(sigma=np.zeros(n), u=prob.u, U=prob.U), P0)
+        assert np.max(np.abs(a - a_zn)) <= 1e-13
+        bound = (4 * n * np.finfo(float).eps * np.linalg.cond(c.toeplitz())
+                 * (1.0 + np.max(np.abs(a_gen))))
+        assert np.max(np.abs(a - a_gen)) <= bound
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(st.integers(1, 30), st.integers(0, 2**32 - 1))

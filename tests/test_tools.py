@@ -20,12 +20,12 @@ class TestCorpusDigest:
     def test_counted_work_counts_and_changes_no_result(self, capsys):
         # counted_work wraps private cee functions by name: a renamed or
         # re-signed one breaks the tool.  The digest's first nine corpus
-        # instances start from the closed-form solution at sigma = z^n and
-        # solve at their first trial; its first twenty interpolation problems
-        # have no closed form, and six of them (#8 the first) fail their
-        # first trial, so the count covers failed trials and the data ramp at
-        # z^n before the numerator path too; the wrappers must leave every P
-        # as it is
+        # instances have a closed-form solution at sigma = z^n and solve at
+        # their first trial, the Levinson start; its first twenty
+        # interpolation problems have no closed form, and six of them (#8 the
+        # first) fail their first trial, so the count covers failed trials
+        # and the data ramp at z^n before the numerator path too; the
+        # wrappers must leave every P as it is
         tool = load_corpus_digest()
         opts = SolveOptions(max_iter=20_000)
         problems = [prob for _, _, prob in itertools.islice(tool.corpus_problems(), 9)]
@@ -41,7 +41,7 @@ class TestCorpusDigest:
             assert a.P.tobytes() == b.P.tobytes() and a.iterations == b.iterations
         for key in ("residuals", "lifted steps", "n×n steps", "operators",
                     "ramp trials", "failed trials", "trials at the damping floor",
-                    "central starts", "σ paths", "σ trials"):
+                    "central starts", "Levinson starts", "σ paths", "σ trials"):
             assert counts[key] > 0, key
         # "n×n steps" counts every n x n solve with the first-column
         # Jacobian: those of the accepted trials are the reported iterations

@@ -60,16 +60,19 @@ failed trials on the problem itself (t = 1 of its data ramp, s = 1 of the
 numerator path) are also counted on their own, and so are the trials whose
 first-column Newton (``cee._reduced_newton``) failed at its damping floor,
 where no damped step down to ``cee._DAMPING_FLOOR`` lowered the residual.
-Last, how many solves started the numerator path at the closed-form
-solution at sigma = z^n (``cee._central``, which runs no ramp and no
-trial), how many numerator paths started from a data ramp at sigma = z^n
-instead (the "σ paths"), how many of the trials were sigma trials and how
-many of those failed, how many sigma paths gave up at their step floor,
-and how many solves fell back to the data ramp (after a give-up or a
-stalled ramp at z^n).  The counts come from wrapping those module
-functions and ``cee._ramp_family`` and ``cee._sigma_family`` here; the
-wrappers change no result: the P bytes of every corpus solve are the
-same with and without them.
+Last, how many solves found the closed-form solution at sigma = z^n
+(``cee._central``, which runs no ramp and no trial), how many of those
+ran the Levinson start, the one-trial leg of the numerator path on the
+problem itself from that solution with x_1 set to 1, and how many of those
+trials failed, how many numerator paths started from a data ramp at
+sigma = z^n instead (the "σ paths"), how many of the trials were sigma
+trials and how many of those failed, how many sigma paths gave up at
+their step floor (a failed Levinson start is not a give-up), and how many
+solves fell back to the data ramp (after a give-up or a stalled ramp at
+z^n).  The counts come from wrapping those module functions and
+``cee._ramp_family`` and ``cee._sigma_family`` here; the wrappers change
+no result: the P bytes of every corpus solve are the same with and
+without them.
 
 The cli section also prints a validation line: how many documents
 (problems and solutions, read or written) were validated, how many the
@@ -181,6 +184,7 @@ def counted_work(section: str):
               "n×n steps of failed trials": 0,
               "trials at the damping floor": 0,
               "central starts": 0,
+              "Levinson starts": 0, "failed Levinson starts": 0,
               "σ paths": 0, "σ trials": 0, "failed σ trials": 0,
               "σ give-ups": 0, "fallbacks": 0}
     originals = {name: getattr(cee, name) for name in
@@ -228,9 +232,11 @@ def counted_work(section: str):
                         lifted_end - lifted)
 
     def continuation(family, operator, target, tol, P, step, min_step):
-        """One leg of a solve: the first trial, the data ramp at
+        """One leg of a solve: the first trial (from P = 0, or the Levinson
+        start, the one-trial leg of the numerator path), the data ramp at
         sigma = z^n, the numerator path, or the data-ramp fallback."""
         trials = []  # (s, lifted steps, n×n steps at start, on the problem)
+        levinson = family.sigma and min_step == 1.0
 
         def trial(s):
             # the loop builds its problem once per trial
@@ -239,6 +245,7 @@ def counted_work(section: str):
             return family(s)
 
         counts["σ paths"] += family.problem is not target
+        counts["Levinson starts"] += levinson
         counts["fallbacks"] += (not family.sigma and family.problem is target
                                 and step < 1.0)
         stalled = False
@@ -247,7 +254,8 @@ def counted_work(section: str):
                                               step, min_step)
         except SolverError:
             stalled = True
-            counts["σ give-ups"] += family.sigma
+            counts["failed Levinson starts"] += levinson
+            counts["σ give-ups"] += family.sigma and not levinson
             raise
         finally:
             tally(trials, stalled, family.sigma)
