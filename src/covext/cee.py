@@ -129,11 +129,9 @@ class CEESolution:
     For "newton" it counts the n x n first-column Newton steps of the
     accepted trials of the continuation that delivered P, and the lifted
     full-space Newton steps (at least one) that polished its last trial,
-    the one on the problem itself: the first trial (from P = 0, or the
-    Levinson start from the closed-form solution at sigma = z^n, which
-    itself counts 0 steps), the numerator path (its data ramp at sigma =
-    z^n included) or the data-ramp fallback.  Failed trials, and a
-    numerator path that gave up, are not counted.
+    the one on the problem itself (the legs are listed at
+    :func:`_ramp`).  Failed trials, and a numerator path that gave up, are
+    not counted.
     """
 
     P: np.ndarray
@@ -151,17 +149,10 @@ class CEESolution:
 class SolveOptions:
     """Solver controls.
 
-    method "auto" (the default) and "newton" name the same path.  Where
-    the closed-form solution at sigma = z^n exists, Newton on the problem
-    itself starts from it with h'Ph set to 1, where the extracted a is
-    Levinson's predictor whatever sigma is (the Levinson start); else
-    Newton from P = 0 on the problem itself.  If that first trial fails,
-    the continuation in the numerator sigma from sigma = z^n follows, and
-    last the continuation in the data parameters.  A continuation halves
-    its step while a trial stalls, lands off the PSD h'Ph < 1 branch or, on
-    the problem itself, ends with a non-Schur a (see :func:`solve_cee`).
-    "fixed-point" runs the paper's plain iteration from P = 0 alone, with a budget of
-    ``max_iter`` steps; ``divergence_guard`` aborts that sweep once
+    method "auto" (the default) and "newton" name the same path, Newton
+    continuation from the solution at sigma = z^n (see :func:`_ramp`).
+    "fixed-point" runs the paper's plain iteration from P = 0 alone, with
+    a budget of ``max_iter`` steps; ``divergence_guard`` aborts that sweep once
     h'Ph >= 1 after the first ``_GRACE`` steps, appropriate when the data
     is known to be a positive covariance sequence.  ``max_iter`` and
     ``divergence_guard`` have no effect on the Newton path.  ``rank_tol``
@@ -568,11 +559,6 @@ def _sigma_family(prob: CEEProblem):
     return family
 
 
-def _operator(prob: CEEProblem):
-    """:func:`_first_column_operator` of ``prob``'s Gamma."""
-    return _first_column_operator(_stein_matrix(prob.Gamma))
-
-
 @functools.lru_cache(maxsize=8)
 def _shift_operator(n: int):
     """:func:`_first_column_operator` at sigma = z^n, where Gamma is the
@@ -582,6 +568,14 @@ def _shift_operator(n: int):
     for arr in (*op[0], op[1]):
         arr.setflags(write=False)
     return op
+
+
+def _operator(prob: CEEProblem):
+    """:func:`_first_column_operator` of ``prob``'s Gamma: the cached
+    :func:`_shift_operator` at sigma = z^n, else a fresh build."""
+    if not prob.sigma.any():
+        return _shift_operator(prob.n)
+    return _first_column_operator(_stein_matrix(prob.Gamma))
 
 
 def _central(prob: CEEProblem) -> Optional[np.ndarray]:
@@ -598,7 +592,8 @@ def _central(prob: CEEProblem) -> Optional[np.ndarray]:
     reflection coefficient lies in (-1, 1) and the candidate solves the
     equation at z^n to rounding, ||x - Ph|| <= 128 n eps (||x|| + ||P||_F),
     on the PSD h'Ph < 1 branch.  The test is numerical and reads only
-    (u, U): interpolation parameters fail it and take the ramp instead.
+    (u, U): interpolation parameters fail it, and :func:`_ramp` then finds
+    that solution by the data ramp at z^n.
     """
     n = prob.n
     lapack = scipy.linalg.lapack
@@ -662,7 +657,10 @@ def _continuation(family, operator, target: CEEProblem, tol: float,
 
     A trial is Newton on the n unknowns of x = Ph (:func:`_reduced_newton`)
     with the first-column form (:func:`_quadratic`) of the trial's problem
-    through the operator ``operator(problem)``, and passes if its
+    through ``operator``, the first-column operator of ``target``, when the
+    trial shares ``target``'s Gamma (every trial of :func:`_ramp_family`,
+    and :func:`_sigma_family` at s = 1), else through
+    :func:`_operator` of the trial's problem, and passes if its
     P is on the branch: an intermediate trial only seeds the next warm
     start.  A trial on ``target`` is then polished in the full space by
     one call of :func:`_newton`, Newton through lifted steps with its
@@ -694,7 +692,8 @@ def _continuation(family, operator, target: CEEProblem, tol: float,
             start = P
         try:
             trial = family(t_next)
-            form = _quadratic(trial, operator(trial))
+            form = _quadratic(trial, operator if trial.Gamma is target.Gamma
+                              else _operator(trial))
             P_next, nits = _reduced_newton(trial, start[:, 0], form)
             if not _on_valid_branch(P_next):
                 raise SolverError("left the PSD h'Ph < 1 branch along the ramp")
@@ -730,30 +729,36 @@ def _ramp(prob: CEEProblem, opts: SolveOptions):
     trials of the continuation that delivered it (:func:`_continuation`)
     and the (a, rho) extracted from P, whose a passed the Schur test.
 
-    When :func:`_central` gives the solution P0 at sigma = z^n in closed
-    form, the first trial is the Levinson start: one trial on the problem
-    itself from x = P0 h with x_1 set to 1.  With Gamma the companion of
-    sigma and J the up-shift, Gamma x + sigma = J x + (1 - x_1) sigma, so at
-    x_1 = 1 the extracted a = (I - U) J x - u is Levinson's predictor of the
-    lags, whatever sigma is.  When that trial fails, the path
-    :func:`_sigma_family` runs from P0 with step 1/2: the trials it ran
-    after a failed first trial from P0 itself.  Otherwise the first trial is
-    the whole data ramp of :func:`_ramp_family` at once, t = 1: Newton from
-    P = 0 on the problem itself.  When it fails, the numerator path runs:
-    the data ramp of the same (u, U) at sigma = z^n, where Gamma is
-    nilpotent and the ramp is short, then the path :func:`_sigma_family`
-    from there to ``prob``.  The numerator path rebuilds the first-column
-    operator for each trial short of s = 1.  If it gives up (the ramp at z^n
-    stalls, or the path's step falls below ``_SIGMA_MIN_STEP``), the data
-    ramp of ``prob`` goes on from t = 0 with step 1/2: the trials the data
-    ramp alone runs after a failed first one, so without a closed-form start
-    the result is then the data ramp's own, bit for bit.
+    The legs run in this order, each only if the ones before it failed:
+
+    1. Unless :func:`_central` gives the PSD h'Ph < 1 solution P0 at
+       sigma = z^n in closed form, the first trial: Newton from P = 0 on the
+       problem itself, the whole data ramp of :func:`_ramp_family` at once
+       (t = 1).  When it fails, P0 is the end of the data ramp of the same
+       (u, U) at sigma = z^n, where Gamma is nilpotent and the ramp is
+       short; it is not polished.
+    2. The Levinson start from P0, either way: one trial on the problem
+       itself from x = P0 h with x_1 set to 1.  With Gamma the companion of
+       sigma and J the up-shift, Gamma x + sigma = J x + (1 - x_1) sigma, so
+       at x_1 = 1 the extracted a = (I - U) J x - u is the one of P0 at
+       z^n, whatever sigma is: Levinson's predictor of the lags where the
+       closed form exists.
+    3. The numerator path :func:`_sigma_family` from P0 with step 1/2: the
+       trials it runs after a failed first trial from P0 itself.
+    4. If the path gives up (the ramp at z^n stalls, or the path's step
+       falls below ``_SIGMA_MIN_STEP``), the data ramp of ``prob`` from
+       t = 0 with step 1/2: the trials the data ramp alone runs after a
+       failed first one, so without a closed-form start the result is then
+       the data ramp's own, bit for bit.
+
+    The steps of the data ramp at z^n count towards the Levinson start and
+    the numerator path that follow it, not towards the fallback.
     """
     op = _operator(prob)
     zero = np.zeros((prob.n, prob.n))
 
-    def along(family, operator, P, step, min_step):
-        return _continuation(family, operator, prob, opts.tol, P, step, min_step)
+    def along(family, P, step, min_step):
+        return _continuation(family, op, prob, opts.tol, P, step, min_step)
 
     P = _central(prob)
     its = 0
@@ -761,28 +766,21 @@ def _ramp(prob: CEEProblem, opts: SolveOptions):
     try:
         if P is None:
             try:
-                return along(_ramp_family(prob), lambda _: op, zero, 1.0, 1.0)
+                return along(_ramp_family(prob), zero, 1.0, 1.0)
             except SolverError:
                 pass
             start = CEEProblem(sigma=np.zeros(prob.n), u=prob.u, U=prob.U)
-            P, its, _ = along(_ramp_family(start), lambda _: _shift_operator(prob.n),
-                              zero, 1.0, _RAMP_MIN_STEP)
-            step = 1.0
-        else:
-            levinson = P.copy()
-            levinson[0, 0] = 1.0
-            try:
-                return along(_sigma_family(prob), lambda _: op, levinson, 1.0, 1.0)
-            except SolverError:
-                pass
-            step = 0.5
-        P, more, filt = along(_sigma_family(prob),
-                              lambda trial: op if trial is prob else _operator(trial),
-                              P, step, _SIGMA_MIN_STEP)
+            P, its, _ = along(_ramp_family(start), zero, 1.0, _RAMP_MIN_STEP)
+        levinson = P.copy()
+        levinson[0, 0] = 1.0
+        try:
+            P, more, filt = along(_sigma_family(prob), levinson, 1.0, 1.0)
+        except SolverError:
+            P, more, filt = along(_sigma_family(prob), P, 0.5, _SIGMA_MIN_STEP)
         return P, its + more, filt
     except SolverError:
         pass
-    return along(_ramp_family(prob), lambda _: op, zero, 0.5, _RAMP_MIN_STEP)
+    return along(_ramp_family(prob), zero, 0.5, _RAMP_MIN_STEP)
 
 
 def _fixed_point(
@@ -814,20 +812,11 @@ def solve_cee(prob: CEEProblem, options: Optional[SolveOptions] = None) -> CEESo
     residual) and :class:`InvalidBranchError` if the converged P has
     h'Ph >= 1.
 
-    Methods "auto" and "newton" run :func:`_ramp`.  Where the same (u, U)
-    has a closed-form solution P0 at sigma = z^n (:func:`_central`:
-    Levinson's predictor of the lags (I - U)^{-1} u, accepted only if it
-    solves the equation at z^n to rounding), the first trial is Newton on
-    the problem itself from P0 h with h'Ph set to 1, where the extracted a
-    is that predictor for every sigma; if it fails, warm-started solves
-    along sigma(s) of :func:`_sigma_family` go from P0 to the given sigma,
-    the first at s = 1/2.  Otherwise Newton from P = 0 on the problem
-    itself runs first; if that stalls, lands off the PSD branch or ends
-    with a non-Schur a, the numerator path follows: the same (u, U) solved
-    at sigma = z^n along the data ramp of :func:`_ramp_family`, then
-    sigma(s) from there.  If the numerator path gives up, warm-started
-    solves along the data ramp of the problem itself follow.  Each trial is
-    solved as Newton on the n unknowns of x = Ph; only the trial on the
+    Methods "auto" and "newton" run :func:`_ramp`: warm-started Newton
+    trials from the solution of the same (u, U) at sigma = z^n, each
+    halving its step while a trial stalls, lands off the PSD h'Ph < 1
+    branch or, on the problem itself, ends with a non-Schur a.  Each trial
+    is solved as Newton on the n unknowns of x = Ph; only the trial on the
     problem itself goes on to full-space Newton through lifted steps, with
     its residual in extended precision and at least one step, to
     ``opts.tol``.

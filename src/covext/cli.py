@@ -13,7 +13,6 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -34,6 +33,7 @@ from .errors import (
     VerificationError,
 )
 from .io import (
+    _write_json,
     covariance_problem_doc,
     dump_problem,
     dump_solution,
@@ -195,10 +195,7 @@ def cmd_posdeg(args) -> int:
     print(f"positive degree (grid upper bound) = {res.degree}")
     print(f"argmin sigma = {doc['argmin_sigma']}")
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        _write_json(doc, args.out)
         print(f"wrote {args.out}")
     return EXIT_OK
 

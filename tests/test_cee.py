@@ -341,19 +341,15 @@ def sigma_path(prob, P, step):
     """(P, Newton steps) of the numerator path of ``prob`` from P with first
     step ``step``, the first-column operator rebuilt for each trial short of
     s = 1."""
-    op = cee._operator(prob)
-    return cee._continuation(cee._sigma_family(prob),
-                             lambda trial: op if trial is prob else cee._operator(trial),
-                             prob, SolveOptions().tol, P, step,
-                             cee._SIGMA_MIN_STEP)[:2]
+    return cee._continuation(cee._sigma_family(prob), cee._operator(prob), prob,
+                             SolveOptions().tol, P, step, cee._SIGMA_MIN_STEP)[:2]
 
 
 def data_ramp_alone(prob, tol=SolveOptions().tol, step=1.0):
     """(P, Newton steps) of the data ramp of ``prob`` from t = 0 with first
     step ``step``; with step 1, the trial sequence of the solver without the
     numerator path."""
-    op = cee._operator(prob)
-    return cee._continuation(cee._ramp_family(prob), lambda _: op, prob, tol,
+    return cee._continuation(cee._ramp_family(prob), cee._operator(prob), prob, tol,
                              np.zeros((prob.n, prob.n)), step, cee._RAMP_MIN_STEP)[:2]
 
 
@@ -613,17 +609,42 @@ class TestFirstColumn:
                       <= rounding(np.abs(x) + h)[:, None] / h)
 
     def test_shift_operator_is_cached_read_only(self):
-        # at sigma = z^n the operator depends on n alone: every call gets
-        # the same read-only arrays, bit-identical to a fresh build
+        # at sigma = z^n the operator depends on n alone: every call, and
+        # cee._operator of any problem there, gets the same read-only arrays,
+        # bit-identical to a fresh build
         for n in (1, 4, 9):
             (lu, piv), K, kappa = cee._shift_operator(n)
             assert cee._shift_operator(n)[1] is K
-            fresh = cee._operator(CEEProblem(sigma=np.zeros(n), u=np.ones(n),
-                                             U=np.eye(n)))
+            fresh = cee._first_column_operator(cee._stein_matrix(companion(np.zeros(n))))
+            assert cee._operator(CEEProblem(sigma=np.zeros(n), u=np.ones(n),
+                                            U=np.eye(n)))[1] is K
             assert np.array_equal(fresh[0][0], lu) and np.array_equal(fresh[0][1], piv)
             assert np.array_equal(fresh[1], K) and fresh[2] == kappa
             for arr in (lu, piv, K):
                 assert not arr.flags.writeable
+
+    def test_fallback_builds_only_the_targets_operator(self, monkeypatch):
+        # every trial of the data-ramp fallback shares the problem's Gamma,
+        # and the data ramp at sigma = z^n takes the cached operator: a solve
+        # whose numerator path gives up builds the problem's operator alone,
+        # after a central start and after a failed first trial alike
+        problems = corpus_slice()[:5] + interpolation_slice()
+        for prob in problems:
+            cee._shift_operator(prob.n)
+        built = []
+        first_column_operator = cee._first_column_operator
+        monkeypatch.setattr(cee, "_first_column_operator",
+                            lambda stein: built.append(stein) or first_column_operator(stein))
+        sigma_path_gives_up(monkeypatch)
+        trials = path_trials(monkeypatch)
+        fell_back = 0
+        for prob in problems:
+            built.clear()
+            trials.clear()
+            cee._ramp(prob, SolveOptions())
+            fell_back += labelled(trials, prob)[-1] == ("t", 1.0) and len(trials) > 1
+            assert len(built) == 1
+        assert fell_back >= 10
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
@@ -754,9 +775,9 @@ class TestFallback:
         # the numerator path, which halves its step: s = 1/2, whose sigma is
         # checked as its problem is built, then s = 1.  The interpolation
         # problem has no closed-form start: its first trial is t = 1 of the
-        # data ramp, and the numerator path takes over: the data ramp at
-        # sigma = z^n, which has no Schur test, then sigma(s) from there,
-        # whose trial at s = 1 is on the problem
+        # data ramp, and the data ramp at sigma = z^n, which has no Schur
+        # test, follows, then the Levinson start from there, the trial at
+        # s = 1 of sigma(s), on the problem
         cases = [(corpus_slice()[15], 7, [("s", 1.0)],
                   [("s", 1.0), ("s", 0.5), ("s", 1.0)]),
                  (interpolation_slice()[10], 3, [("t", 1.0)],
@@ -797,10 +818,11 @@ class TestFallback:
 
 
 class TestNumeratorPath:
-    """The solve runs the path sigma(s) to the problem from the closed-form
-    solution at sigma = z^n (cee._central) or, without one, after a failed
-    first trial, from the data ramp at sigma = z^n; the data ramp of the
-    problem itself is the fallback."""
+    """From the solution P0 at sigma = z^n, in closed form (cee._central)
+    or, without one, after a failed first trial, at the end of the data
+    ramp at z^n, the solve runs the Levinson start and then the path
+    sigma(s) to the problem; the data ramp of the problem itself is the
+    fallback."""
 
     def test_lands_on_the_data_ramps_solution(self, monkeypatch):
         # the PSD h'Ph < 1 solution is unique, so the numerator path and the
@@ -915,6 +937,59 @@ class TestNumeratorPath:
         # one corpus problem's path from P0 with step 1/2 gives up
         assert fell_back == 1
 
+    def test_ramped_start_runs_the_levinson_start(self, monkeypatch):
+        # without a closed form, a failed first trial from P = 0 is followed
+        # by the data ramp at sigma = z^n and then, as after a closed-form
+        # start, by the Levinson start: the next first-column Newton on the
+        # problem itself starts from P0 h of that ramp's unpolished end P0
+        # with x_1 set to 1
+        starts = []
+        reduced_newton = cee._reduced_newton
+        monkeypatch.setattr(cee, "_reduced_newton",
+                            lambda p, x, form: starts.append((p, x.copy()))
+                            or reduced_newton(p, x, form))
+        trials = path_trials(monkeypatch)
+        ramped = 0
+        for prob in interpolation_slice():
+            starts.clear()
+            trials.clear()
+            solve_outcome(prob)
+            path = labelled(trials, prob)
+            if len(path) == 1:
+                continue
+            zn = sum(kind == "t0" for kind, _ in path)
+            assert path[0] == ("t", 1.0) and zn > 0
+            assert {kind for kind, _ in path[1:zn + 1]} == {"t0"}
+            assert path[zn + 1] == ("s", 1.0)
+            on_prob = [x for p, x in starts if p is prob]
+            P0, _ = zn_data_ramp(prob, polished=False)
+            assert on_prob[1][0] == 1.0 and np.array_equal(on_prob[1][1:], P0[1:, 0])
+            ramped += 1
+        assert ramped >= 5
+
+    def test_failed_levinson_start_after_the_ramp_runs_the_path_at_half_step(
+            self, monkeypatch):
+        # when the Levinson start from the ramped P0 fails, the numerator
+        # path runs from P0 with step 1/2, as it does from the closed form:
+        # its trials begin s = 1, 1/2, and its P is that path's bit for bit,
+        # with the steps of the data ramp at sigma = z^n counted in
+        levinson_start_fails(monkeypatch)
+        trials = path_trials(monkeypatch)
+        compared = 0
+        for prob in interpolation_slice():
+            trials.clear()
+            P, steps, _ = cee._ramp(prob, SolveOptions())
+            path = labelled(trials, prob)
+            if len(path) == 1:
+                continue
+            assert [entry for entry in path if entry[0] == "s"][:2] == [
+                ("s", 1.0), ("s", 0.5)]
+            P0, steps0 = zn_data_ramp(prob, polished=False)
+            P_ref, steps_ref = sigma_path(prob, P0, 0.5)
+            assert P.tobytes() == P_ref.tobytes() and steps == steps0 + steps_ref
+            compared += 1
+        assert compared >= 5
+
     def test_unbuildable_sigma_is_a_failed_trial(self, monkeypatch):
         # benchmark-pool seed 7 request 6 starts from the closed form at
         # sigma = z^n; with its Levinson start forced to fail, the numerator
@@ -946,14 +1021,15 @@ class TestNumeratorPath:
         assert np.max(np.abs(sol.P - data_ramp_alone(prob)[0])) <= 1e-8
 
 
-def zn_data_ramp(prob):
-    """P of the data ramp of ``prob``'s (u, U) at sigma = z^n, polished on
-    that problem: the numerator path's start without a closed form."""
+def zn_data_ramp(prob, polished=True):
+    """(P, Newton steps) of the data ramp of ``prob``'s (u, U) at sigma =
+    z^n, polished on that problem, or not: the solver's leg without a
+    closed form targets ``prob`` itself, so its end P0 is not polished."""
     start = CEEProblem(sigma=np.zeros(prob.n), u=prob.u, U=prob.U)
-    return cee._continuation(cee._ramp_family(start),
-                             lambda _: cee._shift_operator(prob.n), start,
+    target = start if polished else prob
+    return cee._continuation(cee._ramp_family(start), cee._operator(target), target,
                              SolveOptions().tol, np.zeros((prob.n, prob.n)),
-                             1.0, cee._RAMP_MIN_STEP)[0]
+                             1.0, cee._RAMP_MIN_STEP)[:2]
 
 
 class TestCentral:
@@ -972,7 +1048,7 @@ class TestCentral:
         for prob in problems:
             P = cee._central(prob)
             assert P is not None
-            P_ramp = zn_data_ramp(prob)
+            P_ramp, _ = zn_data_ramp(prob)
             assert np.linalg.norm(P - P_ramp) <= 1e-10 * np.linalg.norm(P_ramp)
 
     def test_no_closed_form_runs_the_first_trial(self, monkeypatch):

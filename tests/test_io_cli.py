@@ -576,6 +576,9 @@ class TestPosdegCommand:
         doc = json.loads(out.read_text())
         assert doc["algebraic_degree"] == 1
         assert doc["positive_degree_upper_bound"] == 2
+        # the report is written as every document is: two-space indented
+        # JSON and one trailing newline
+        assert out.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
 
 
 class TestVerifyCommand:

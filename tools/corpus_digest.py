@@ -61,11 +61,12 @@ numerator path) are also counted on their own, and so are the trials whose
 first-column Newton (``cee._reduced_newton``) failed at its damping floor,
 where no damped step down to ``cee._DAMPING_FLOOR`` lowered the residual.
 Last, how many solves found the closed-form solution at sigma = z^n
-(``cee._central``, which runs no ramp and no trial), how many of those
-ran the Levinson start, the one-trial leg of the numerator path on the
-problem itself from that solution with x_1 set to 1, and how many of those
-trials failed, how many numerator paths started from a data ramp at
-sigma = z^n instead (the "σ paths"), how many of the trials were sigma
+(``cee._central``, which runs no ramp and no trial), how many Levinson
+starts ran, the one-trial leg of the numerator path on the problem itself
+from the solution at sigma = z^n with x_1 set to 1, that solution being
+the closed form or the end of a data ramp at z^n, and how many of those
+trials failed, how many numerator paths began with a data ramp at
+sigma = z^n (the "σ paths"), how many of the trials were sigma
 trials and how many of those failed, how many sigma paths gave up at
 their step floor (a failed Levinson start is not a give-up), and how many
 solves fell back to the data ramp (after a give-up or a stalled ramp at
@@ -232,9 +233,10 @@ def counted_work(section: str):
                         lifted_end - lifted)
 
     def continuation(family, operator, target, tol, P, step, min_step):
-        """One leg of a solve: the first trial (from P = 0, or the Levinson
-        start, the one-trial leg of the numerator path), the data ramp at
-        sigma = z^n, the numerator path, or the data-ramp fallback."""
+        """One leg of a solve: the first trial from P = 0, the data ramp at
+        sigma = z^n, the Levinson start (the one-trial leg of the numerator
+        path), the numerator path, or the data-ramp fallback; ``operator``
+        is the first-column operator of ``target``."""
         trials = []  # (s, lifted steps, n×n steps at start, on the problem)
         levinson = family.sigma and min_step == 1.0
 
